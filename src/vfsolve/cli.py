@@ -254,7 +254,7 @@ def _print_params(params, stream) -> None:
 
 
 def _print_bounds(params, stream) -> None:
-    cfg = ContinuationConfig(N=params.N, eps0=1.0 / params.N, q=params.q, n0=params.n0)
+    cfg = ContinuationConfig(N=params.N, q=params.q, n0=params.n0)
     print(f"iteration_bound={_fmt(hybrid.iteration_bound(params))}", file=stream)
     print(f"iteration_bound_fine={_fmt(hybrid.iteration_bound_fine(params))}", file=stream)
     print(f"inner_bound={_fmt(inner_bound(cfg, params.g_norm))}", file=stream)

@@ -31,6 +31,7 @@ __all__ = [
     "SolverError",
     "level_solve",
     "p_inverse",
+    "growth",
     "inner_bound",
 ]
 
@@ -43,12 +44,11 @@ class SolverError(RuntimeError):
 class ContinuationConfig:
     """Continuation parameters and the running operation tally.
 
-    ``eps0`` must equal 1/N and ``q`` is the per-level contraction factor
-    L*eps0, which must be < 1 for any of this to converge.
+    ``q`` is the per-level contraction factor L*eps0 with sub-step
+    eps0 = 1/N, and must be < 1 for any of this to converge.
     """
 
     N: int
-    eps0: float
     q: float
     n0: int
     op_counter: int = 0
@@ -58,22 +58,25 @@ class ContinuationConfig:
             raise ValueError(f"need N >= 1, got {self.N}")
         if self.n0 < 1:
             raise ValueError(f"need n0 >= 1, got {self.n0}")
-        if abs(self.eps0 * self.N - 1.0) > 1e-15:
-            raise ValueError(f"eps0 must be 1/N, got eps0={self.eps0} for N={self.N}")
         if not 0.0 <= self.q < 1.0:
             raise ValueError(f"contraction factor q must lie in [0, 1), got {self.q}")
+
+    @property
+    def eps0(self) -> float:
+        """Sub-step size 1/N."""
+        return 1.0 / self.N
 
     @classmethod
     def for_lipschitz(cls, L: float, N: int, n0: int) -> "ContinuationConfig":
         """Config for an F with Lipschitz constant L, split into N sub-steps."""
-        return cls(N=N, eps0=1.0 / N, q=L / N, n0=n0)
+        return cls(N=N, q=L / N, n0=n0)
 
 
 def _step(F, w, target, cfg, level, k, on_step):
     value = np.asarray(F(w), dtype=float)
     cfg.op_counter += 1
     nxt = -cfg.eps0 * value + target
-    if not np.all(np.isfinite(nxt)):
+    if not np.isfinite(nxt).all():
         raise SolverError(
             f"non-finite iterate at level {level}, step {k}; "
             "the Lipschitz/monotonicity assumptions are likely violated"
@@ -116,11 +119,17 @@ def p_inverse(F, z, cfg: ContinuationConfig, on_step=None):
     return _chain_down(F, y, cfg.N - 1, cfg, on_step)
 
 
+def growth(q: float, N: int) -> float:
+    """Level-accumulation factor (e^(qN) - 1)/(e^q - 1), continued to N at q = 0."""
+    if q == 0.0:
+        return float(N)
+    return (math.exp(q * N) - 1.0) / (math.exp(q) - 1.0)
+
+
 def inner_bound(cfg: ContinuationConfig, z_norm: float) -> float:
-    """A-priori defect bound (q^(n0+1)/(1-q)) * ((e^(qN)-1)/(e^q-1)) * ||z||."""
+    """A-priori defect bound (q^(n0+1)/(1-q)) * growth(q, N) * ||z||."""
     if cfg.q >= 1.0:
         raise ValueError(f"bound requires q < 1, got {cfg.q}")
     if cfg.q == 0.0:
         return 0.0
-    growth = (math.exp(cfg.q * cfg.N) - 1.0) / (math.exp(cfg.q) - 1.0)
-    return cfg.q ** (cfg.n0 + 1) / (1.0 - cfg.q) * growth * float(z_norm)
+    return cfg.q ** (cfg.n0 + 1) / (1.0 - cfg.q) * growth(cfg.q, cfg.N) * float(z_norm)

@@ -9,9 +9,20 @@ together with the weighted inner product <u, v> = sum_i w_i u_i v_i and its
 norm, in which all error bounds of :mod:`vfsolve.hybrid` are stated.
 
 State vectors are plain 1-d numpy arrays of length ``sys.dim``.  Kernel
-callables are evaluated on full (dim x dim) meshes; cells with zero Volterra
-weight are evaluated at clamped in-domain arguments (s_0, xi_0) and then
-discarded, so kernels never see points outside [a, b]^2 x state-box.
+callables must broadcast their arguments, and are called on node vectors
+rather than full meshes:
+
+* ``k2`` gets t as a (dim, 1) column of nodes, s as a (1, dim) row of nodes
+  and x as the (1, dim) row of the state;
+* ``k1`` gets t as the (dim, 1) column, and s and x as (dim, dim) tables in
+  which cells with zero Volterra weight (s_j > t_i) hold the clamped in-domain
+  arguments (s_0, xi_0), so kernels never see points outside
+  [a, b]^2 x state-box; those cells are discarded afterwards.
+
+Either result is broadcast to (dim, dim), so a kernel may return a
+lower-rank array or a scalar (e.g. ``lambda t, s, x: 0.0``).  Only the
+length-dim output is checked for non-finite values; when it fails, the
+kernel table is searched for the offending cell to name in the error.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ __all__ = [
     "build_system",
     "phi",
     "fred",
+    "fred_unchecked",
     "inner",
     "norm",
     "residual",
@@ -38,46 +50,42 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DiscreteSystem:
-    """One problem discretized by one scheme, with precomputed meshes."""
+    """One problem discretized by one scheme, with its Volterra argument table."""
 
-    grid: "Grid"
     scheme: "QuadScheme"
     problem: "Problem"
     g_vec: np.ndarray = field(repr=False)
-    dim: int = 0
-    # meshes, cached once: t down the rows, s across the columns
-    t_mesh: np.ndarray = field(repr=False, default=None)
-    s_mesh: np.ndarray = field(repr=False, default=None)
-    s_mesh_volterra: np.ndarray = field(repr=False, default=None)
-    volterra_mask: np.ndarray = field(repr=False, default=None)
+    # nonzero Volterra weights, and s with the other cells clamped to s_0
+    volterra_mask: np.ndarray = field(repr=False)
+    s_mesh_volterra: np.ndarray = field(repr=False)
+
+    @property
+    def dim(self) -> int:
+        return self.scheme.dim
+
+    @property
+    def grid(self) -> "Grid":
+        return self.scheme.grid
 
 
 def build_system(problem: "Problem", scheme: "QuadScheme") -> DiscreteSystem:
-    """Sample g on the nodes and precompute the kernel-evaluation meshes."""
+    """Sample g on the nodes and precompute the Volterra argument table."""
     nodes = scheme.nodes
     g_vec = np.asarray(problem.g(nodes), dtype=float)
     if g_vec.shape != nodes.shape:
         raise ValueError(
             f"g returned shape {g_vec.shape} for {nodes.shape} nodes"
         )
-    if not np.all(np.isfinite(g_vec)):
+    if not np.isfinite(g_vec).all():
         bad = int(np.argmax(~np.isfinite(g_vec)))
         raise ValueError(f"g is non-finite at node {bad} (t = {nodes[bad]})")
     mask = scheme.volterra_weights != 0.0
-    t_mesh = np.broadcast_to(nodes[:, None], (scheme.dim, scheme.dim))
-    s_mesh = np.broadcast_to(nodes[None, :], (scheme.dim, scheme.dim))
-    # zero-weight cells get the first node's s so kernels stay inside [a, b]
-    s_volterra = np.where(mask, s_mesh, nodes[0])
     return DiscreteSystem(
-        grid=scheme.grid,
         scheme=scheme,
         problem=problem,
         g_vec=g_vec,
-        dim=scheme.dim,
-        t_mesh=t_mesh,
-        s_mesh=s_mesh,
-        s_mesh_volterra=s_volterra,
         volterra_mask=mask,
+        s_mesh_volterra=np.where(mask, nodes[None, :], nodes[0]),
     )
 
 
@@ -85,9 +93,14 @@ def _as_state(sys: DiscreteSystem, xi, what: str = "state vector") -> np.ndarray
     v = np.asarray(xi, dtype=float)
     if v.shape != (sys.dim,):
         raise ValueError(f"{what} has shape {v.shape}, system dimension is {sys.dim}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{what} contains non-finite entries")
     return v
+
+
+def _kernel_table(vals, dim: int) -> np.ndarray:
+    vals = np.asarray(vals, dtype=float)
+    return vals if vals.shape == (dim, dim) else np.broadcast_to(vals, (dim, dim))
 
 
 def _check_kernel_values(vals: np.ndarray, mask, which: str) -> None:
@@ -102,22 +115,28 @@ def _check_kernel_values(vals: np.ndarray, mask, which: str) -> None:
 def phi(sys: DiscreteSystem, xi) -> np.ndarray:
     """Volterra part: row i integrates k1(t_i, s, xi(s)) over [a, t_i]."""
     v = _as_state(sys, xi)
-    x_mesh = np.where(sys.volterra_mask, v[None, :], v[0])
-    vals = np.asarray(sys.problem.k1(sys.t_mesh, sys.s_mesh_volterra, x_mesh), dtype=float)
-    _check_kernel_values(vals, sys.volterra_mask, "volterra kernel k1")
-    vals = np.where(sys.volterra_mask, vals, 0.0)
-    return (sys.scheme.volterra_weights * vals).sum(axis=1)
+    nodes, mask = sys.scheme.nodes, sys.volterra_mask
+    x_table = np.where(mask, v[None, :], v[0])
+    vals = _kernel_table(sys.problem.k1(nodes[:, None], sys.s_mesh_volterra, x_table), len(nodes))
+    out = (sys.scheme.volterra_weights * np.where(mask, vals, 0.0)).sum(axis=1)
+    if not np.isfinite(out).all():
+        _check_kernel_values(vals, mask, "volterra kernel k1")
+    return out
+
+
+def fred_unchecked(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
+    """:func:`fred` for a state already known to be a finite length-dim array."""
+    nodes = sys.scheme.nodes
+    vals = _kernel_table(sys.problem.k2(nodes[:, None], nodes[None, :], v[None, :]), len(nodes))
+    out = vals @ sys.scheme.global_weights
+    if not np.isfinite(out).all():
+        _check_kernel_values(vals, None, "fredholm kernel k2")
+    return out
 
 
 def fred(sys: DiscreteSystem, xi) -> np.ndarray:
     """Fredholm part: row i integrates k2(t_i, s, xi(s)) over [a, b]."""
-    v = _as_state(sys, xi)
-    vals = np.asarray(
-        sys.problem.k2(sys.t_mesh, sys.s_mesh, np.broadcast_to(v[None, :], sys.t_mesh.shape)),
-        dtype=float,
-    )
-    _check_kernel_values(vals, None, "fredholm kernel k2")
-    return vals @ sys.scheme.global_weights
+    return fred_unchecked(sys, _as_state(sys, xi))
 
 
 def inner(sys: DiscreteSystem, u, v) -> float:

@@ -314,9 +314,15 @@ def _describe(node: Expr) -> str:
     return text
 
 
-def _bad_inputs(mask) -> str:
-    idx = np.argwhere(np.asarray(mask))
-    return f"{int(np.count_nonzero(mask))} offending input point(s), first at index {tuple(idx[0])}" if idx.size else "scalar input"
+def _bad_inputs(mask, shape) -> str:
+    # points are counted over the full broadcast input, whatever the rank of
+    # the failing subexpression; a constant one has no input points
+    mask = np.asarray(mask)
+    if mask.ndim == 0:
+        return "scalar input"
+    mask = np.broadcast_to(mask, shape)
+    first = tuple(int(i) for i in np.argwhere(mask)[0])
+    return f"{int(np.count_nonzero(mask))} offending input point(s), first at index {first}"
 
 
 def evaluate(expr: Expr, t, s, x):
@@ -332,9 +338,11 @@ def evaluate(expr: Expr, t, s, x):
         "s": np.asarray(s, dtype=float),
         "x": np.asarray(x, dtype=float),
     }
+    # the result, and the point set an error counts, take the full input shape
+    shape = np.broadcast_shapes(env["t"].shape, env["s"].shape, env["x"].shape)
 
     def fail(node, why, mask=None):
-        detail = f": {_bad_inputs(mask)}" if mask is not None else ""
+        detail = f": {_bad_inputs(mask, shape)}" if mask is not None else ""
         raise EvalDomainError(f"{why} in {_describe(node)!r}{detail}")
 
     def check(node, value):
@@ -381,8 +389,6 @@ def evaluate(expr: Expr, t, s, x):
     with np.errstate(all="ignore"):
         result = ev(expr)
     result = np.asarray(result, dtype=float)
-    # constant expressions must still match the input shape
-    shape = np.broadcast_shapes(env["t"].shape, env["s"].shape, env["x"].shape)
     if shape == ():
         return float(result)
     return np.broadcast_to(result, shape).copy() if result.shape != shape else result

@@ -127,13 +127,6 @@ def _power_coeff(M: float, k: int) -> float:
     return M**k / math.sqrt(math.factorial(k - 1))
 
 
-def _growth(q: float, N: int) -> float:
-    # (e^(qN) - 1)/(e^q - 1), continued to N at q = 0
-    if q == 0.0:
-        return float(N)
-    return (math.exp(q * N) - 1.0) / (math.exp(q) - 1.0)
-
-
 def derive_params(
     M: float,
     L: float,
@@ -188,7 +181,7 @@ def derive_params(
         + sum(_power_coeff(M, k) for k in range(1, n_prime + 1))
         + 1.0
     )
-    C1 = (1.0 + M) * (q / (1.0 - q)) * _growth(q, N) * C_nprime * g_norm
+    C1 = (1.0 + M) * (q / (1.0 - q)) * continuation.growth(q, N) * C_nprime * g_norm
     C2 = C_m / (1.0 - alpha) * g_norm
     beta = max(q**m, alpha)
 
@@ -269,7 +262,9 @@ def solve(
 
     ``outer_callback(t, z)``, if given, observes the outer iterates z^(0) ...
     z^(n0).  Operation counting covers the iteration's Phi/F evaluations; the
-    shift setup and final diagnostics are excluded.
+    shift setup and final diagnostics are excluded.  Raises ValueError when
+    ``params`` were derived for another system: q, alpha or g_norm differ
+    from L/N, M^m/sqrt((m-1)!) or ||g1||.
     """
     if abs(params.q - sys.problem.L / params.N) > 1e-12:
         raise ValueError(
@@ -277,9 +272,22 @@ def solve(
             f"q={params.q} but L/N={sys.problem.L / params.N}"
         )
     phi0, f0, g1 = shift_parts(sys)
+    if not np.isfinite(g1).all():
+        raise ValueError("state vector contains non-finite entries")
+    g1_norm = discrete.norm(sys, g1)
+    for label, value, what, expected in (
+        ("alpha", params.alpha, "M^m/sqrt((m-1)!)", _power_coeff(sys.problem.M, params.m)),
+        ("g_norm", params.g_norm, "||g1||", g1_norm),
+    ):
+        if not math.isclose(value, expected, rel_tol=1e-12):
+            raise ValueError(
+                f"params do not match the system: {label}={value} but {what}={expected}"
+            )
 
+    # g1 is finite and every later state is an iterate that _step has
+    # checked, so the inner map skips fred's argument validation
     def F1(v):
-        return discrete.fred(sys, v) - f0
+        return discrete.fred_unchecked(sys, v) - f0
 
     cfg = ContinuationConfig.for_lipschitz(sys.problem.L, params.N, params.n0)
     outer_ops = 0
@@ -290,7 +298,7 @@ def solve(
         xi_t = continuation.p_inverse(F1, z, cfg)
         z = -(discrete.phi(sys, xi_t) - phi0) + g1
         outer_ops += 1
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise SolverError(f"non-finite outer iterate at step {t + 1}")
         if outer_callback is not None:
             outer_callback(t + 1, z.copy())
@@ -298,7 +306,7 @@ def solve(
 
     budget = ErrorBudget(
         iteration_bound=iteration_bound(params),
-        inner_bound_value=continuation.inner_bound(cfg, discrete.norm(sys, g1)),
+        inner_bound_value=continuation.inner_bound(cfg, g1_norm),
         discretization_note=(
             f"quadrature truncation error not included: O(h^{sys.scheme.order}) "
             f"for the {sys.scheme.rule} rule, vanishing as the grid is refined"

@@ -42,7 +42,13 @@ DEFAULT_SEED = 12345
 class Problem:
     """One Volterra-Fredholm equation of the second kind.
 
-    ``k1``/``k2`` take (t, s, x) and must accept numpy arrays (broadcast);
+    ``k1``/``k2`` take (t, s, x) as numpy arrays of different shapes and must
+    broadcast them.  On a grid of dim nodes, :mod:`vfsolve.discrete` passes
+    ``k2`` a (dim, 1) column of nodes t, a (1, dim) row of nodes s and the
+    (1, dim) state row x; it passes ``k1`` the same t column and (dim, dim)
+    tables of s and x, in which the cells with s > t (zero Volterra weight)
+    hold the clamped in-domain point (s_0, xi_0).  Either result is
+    broadcast to (dim, dim), so a lower-rank array or a scalar is fine.
     ``g`` and ``exact`` take t alone.
     """
 

@@ -35,14 +35,13 @@ def bench():
 
 def test_config_validation():
     with pytest.raises(ValueError, match="q must lie"):
-        ContinuationConfig(N=1, eps0=1.0, q=1.0, n0=5)
-    with pytest.raises(ValueError, match="eps0 must be 1/N"):
-        ContinuationConfig(N=2, eps0=1.0, q=0.5, n0=5)
+        ContinuationConfig(N=1, q=1.0, n0=5)
     with pytest.raises(ValueError, match="N >= 1"):
-        ContinuationConfig(N=0, eps0=1.0, q=0.5, n0=5)
+        ContinuationConfig(N=0, q=0.5, n0=5)
     with pytest.raises(ValueError, match="n0 >= 1"):
-        ContinuationConfig(N=1, eps0=1.0, q=0.5, n0=0)
+        ContinuationConfig(N=1, q=0.5, n0=0)
     assert _cfg(1.1, 2, 55).q == pytest.approx(0.55)
+    assert _cfg(1.1, 2, 55).eps0 == 0.5
 
 
 def test_zero_operator_returns_target():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vfsolve.discrete import build_system, fred, inner, norm, phi, residual
+from vfsolve.expr import EvalDomainError
 from vfsolve.problem import benchmark_problem, from_expressions
 from vfsolve.quadrature import build_scheme, make_grid
 
@@ -128,6 +129,78 @@ def test_nonfinite_lambda_kernel_names_cell():
     sys = build_system(bad, build_scheme(make_grid(0.0, 1.0, 10), "midpoint"))
     with pytest.raises(ValueError, match=r"k1 evaluated non-finite at mesh cell"):
         phi(sys, np.zeros(10))
+
+
+@pytest.mark.parametrize(
+    "rule, which, want",
+    [
+        ("midpoint", "phi", "volterra kernel k1 evaluated non-finite at mesh cell (i=5, j=5)"),
+        ("midpoint", "fred", "fredholm kernel k2 evaluated non-finite at mesh cell (i=0, j=5)"),
+        # row 0 of a trapezoid table has zero weight, so its cells are discarded
+        ("trapezoid", "phi", "volterra kernel k1 evaluated non-finite at mesh cell (i=6, j=6)"),
+        ("trapezoid", "fred", "fredholm kernel k2 evaluated non-finite at mesh cell (i=0, j=0)"),
+    ],
+)
+def test_nonfinite_lambda_kernel_names_first_cell(rule, which, want):
+    def bad(t, s, x):
+        return np.where((t == 0.0) | (s > 0.5), np.nan, t)
+
+    p = benchmark_problem()
+    prob = type(p)(a=0.0, b=1.0, k1=bad, k2=bad, g=p.g, M=p.M, L=p.L)
+    sys = build_system(prob, build_scheme(make_grid(0.0, 1.0, 10), rule))
+    with pytest.raises(ValueError) as info:
+        (phi if which == "phi" else fred)(sys, np.zeros(sys.dim))
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize(
+    "kernel, table",
+    [
+        (lambda t, s, x: 0.0, lambda t, s: 0.0 * t * s),
+        (lambda t, s, x: 2.5, lambda t, s: 2.5 + 0.0 * t * s),
+        (lambda t, s, x: t * t, lambda t, s: t * t + 0.0 * s),
+        (lambda t, s, x: 3.0 * s, lambda t, s: 3.0 * s + 0.0 * t),
+    ],
+    ids=["zero", "constant", "t-only", "s-only"],
+)
+@pytest.mark.parametrize("rule", ["midpoint", "trapezoid"])
+def test_lower_rank_kernel_results_broadcast(kernel, table, rule):
+    p = benchmark_problem()
+    prob = type(p)(a=0.0, b=1.0, k1=kernel, k2=kernel, g=p.g, M=1.0, L=1.0)
+    scheme = build_scheme(make_grid(0.0, 1.0, 8), rule)
+    sys_ = build_system(prob, scheme)
+    t = scheme.nodes[:, None]
+    s = np.where(scheme.volterra_weights != 0.0, scheme.nodes[None, :], scheme.nodes[0])
+    xi = np.linspace(-1.0, 1.0, sys_.dim)
+    want_phi = (scheme.volterra_weights * table(t, s)).sum(axis=1)
+    want_fred = (scheme.global_weights * table(t, scheme.nodes[None, :])).sum(axis=1)
+    assert phi(sys_, xi) == pytest.approx(want_phi, rel=1e-14, abs=1e-15)
+    assert fred(sys_, xi) == pytest.approx(want_fred, rel=1e-14, abs=1e-15)
+
+
+def test_domain_error_text_t_only_kernel_through_fred():
+    sys = _system(k2="ln(t)", rule="trapezoid")
+    want = (
+        "ln of a non-positive value in 'ln(t)': "
+        "11 offending input point(s), first at index (0, 0)"
+    )
+    with pytest.raises(EvalDomainError) as info:
+        fred(sys, np.zeros(11))
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize("which, count", [("fred", 55), ("phi", 100)])
+def test_domain_error_text_s_only_kernel(which, count):
+    src = "sqrt(s - 0.5)"
+    kernels = {"k2": src} if which == "fred" else {"k1": src}
+    sys = _system(rule="trapezoid", **kernels)
+    want = (
+        "sqrt of a negative value in 'sqrt((s - 0.5))': "
+        f"{count} offending input point(s), first at index (0, 0)"
+    )
+    with pytest.raises(EvalDomainError) as info:
+        (fred if which == "fred" else phi)(sys, np.zeros(11))
+    assert str(info.value) == want
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,14 @@ def test_solve_rejects_mismatched_params(bench):
     wrong = derive_params(M_BENCH, 0.9, G1_NORM, 1e-3)
     with pytest.raises(ValueError, match="do not match"):
         solve(bench, wrong)
+    # same L, another M: alpha was certified for a different Volterra part
+    wrong_m = derive_params(0.3, L_BENCH, G1_NORM, 1e-3, m=8)
+    with pytest.raises(ValueError, match=r"do not match the system: alpha="):
+        solve(bench, wrong_m)
+    # same M and L, another forcing term: g_norm differs from ||g1||
+    wrong_g = derive_params(M_BENCH, L_BENCH, 4.92, 1e-3)
+    with pytest.raises(ValueError, match=r"do not match the system: g_norm="):
+        solve(bench, wrong_g)
 
 
 def test_solve_without_exact_has_no_per_node_error():
