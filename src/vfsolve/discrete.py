@@ -20,9 +20,11 @@ rather than full meshes:
   [a, b]^2 x state-box; those cells are discarded afterwards.
 
 Either result is broadcast to (dim, dim), so a kernel may return a
-lower-rank array or a scalar (e.g. ``lambda t, s, x: 0.0``).  Only the
-length-dim output is checked for non-finite values; when it fails, the
-kernel table is searched for the offending cell to name in the error.
+lower-rank array or a scalar (e.g. ``lambda t, s, x: 0.0``).  The kernel
+calls live in :func:`k1_table` and :func:`k2_table` alone; phi, fred and the
+Newton oracle's Jacobian all go through them.  Only the length-dim output of
+phi and fred is checked for non-finite values; when it fails, the kernel
+table is searched for the offending cell to name in the error.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ __all__ = [
     "phi",
     "fred",
     "fred_unchecked",
+    "k1_table",
+    "k2_table",
     "inner",
     "norm",
     "residual",
@@ -112,12 +116,28 @@ def _check_kernel_values(vals: np.ndarray, mask, which: str) -> None:
         raise ValueError(f"{which} evaluated non-finite at mesh cell (i={i}, j={j})")
 
 
+def k1_table(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
+    """k1(t_i, s_j, v_j) as a (dim, dim) table, possibly a read-only view.
+
+    Cells outside ``sys.volterra_mask`` hold k1 at the clamped point
+    (s_0, v_0); callers must discard them.
+    """
+    nodes = sys.scheme.nodes
+    x_table = np.where(sys.volterra_mask, v[None, :], v[0])
+    return _kernel_table(sys.problem.k1(nodes[:, None], sys.s_mesh_volterra, x_table), len(nodes))
+
+
+def k2_table(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
+    """k2(t_i, s_j, v_j) as a (dim, dim) table, possibly a read-only view."""
+    nodes = sys.scheme.nodes
+    return _kernel_table(sys.problem.k2(nodes[:, None], nodes[None, :], v[None, :]), len(nodes))
+
+
 def phi(sys: DiscreteSystem, xi) -> np.ndarray:
     """Volterra part: row i integrates k1(t_i, s, xi(s)) over [a, t_i]."""
     v = _as_state(sys, xi)
-    nodes, mask = sys.scheme.nodes, sys.volterra_mask
-    x_table = np.where(mask, v[None, :], v[0])
-    vals = _kernel_table(sys.problem.k1(nodes[:, None], sys.s_mesh_volterra, x_table), len(nodes))
+    mask = sys.volterra_mask
+    vals = k1_table(sys, v)
     out = (sys.scheme.volterra_weights * np.where(mask, vals, 0.0)).sum(axis=1)
     if not np.isfinite(out).all():
         _check_kernel_values(vals, mask, "volterra kernel k1")
@@ -126,8 +146,7 @@ def phi(sys: DiscreteSystem, xi) -> np.ndarray:
 
 def fred_unchecked(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     """:func:`fred` for a state already known to be a finite length-dim array."""
-    nodes = sys.scheme.nodes
-    vals = _kernel_table(sys.problem.k2(nodes[:, None], nodes[None, :], v[None, :]), len(nodes))
+    vals = k2_table(sys, v)
     out = vals @ sys.scheme.global_weights
     if not np.isfinite(out).all():
         _check_kernel_values(vals, None, "fredholm kernel k2")

@@ -297,6 +297,18 @@ def test_convergence_ratios_near_four(capsys):
     assert all(3.0 <= r <= 5.0 for r in ratios)
 
 
+def test_convergence_benchmark_five_levels_output(capsys):
+    assert main(["convergence", "benchmark", "--levels", "5"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "cells,h,max_error,ratio\n"
+        "25,0.04,0.000767878,\n"
+        "50,0.02,0.000206508,3.7184\n"
+        "100,0.01,5.36038e-05,3.85248\n"
+        "200,0.005,1.36591e-05,3.9244\n"
+        "400,0.0025,3.44778e-06,3.96171\n"
+    )
+
+
 def test_convergence_needs_two_levels(capsys):
     assert cmd_convergence("benchmark", levels=1) == EXIT_CONFIG
     assert "levels" in capsys.readouterr().err
