@@ -9,15 +9,17 @@ Problems are described in an INI-style config with four sections::
     [output]      path = solution.csv  format = csv  precision = 10
 
 Unknown sections or fields are hard errors (typo protection).  Exit codes:
-0 success, 1 config error, 2 solver failure, 3 assumption-audit failure.
+0 success; 1 config error, which includes a failure to build the grid, scheme
+or system in every command and a failed parameter derivation in ``bound``;
+2 solver failure, which includes a failed derivation in ``solve``/``table``;
+3 assumption-audit failure, which includes a kernel that raises in the audit.
 All randomness is seeded, and CSV output is plain text with fixed formatting,
 so identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
 
 import argparse
 import configparser
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import hybrid, reference
 from .continuation import ContinuationConfig, SolverError, inner_bound
-from .discrete import build_system, residual
+from .discrete import DiscreteSystem, build_system, residual
 from .expr import ExprError
 from .oracle import NewtonError, newton_solve
 from .problem import (
@@ -105,6 +107,13 @@ def _convert(section: str, key: str, raw: str, kind):
         ) from None
 
 
+def _builtin(name: str) -> Problem:
+    try:
+        return builtin_problem(name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def parse_config(path: str) -> RunConfig:
     """Read and validate a config file; raises :class:`ConfigError`."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -135,10 +144,7 @@ def parse_config(path: str) -> RunConfig:
                 "a [problem] section must contain exactly one of 'builtin' or an "
                 f"expression problem; found 'builtin' together with {extra}"
             )
-        try:
-            problem = builtin_problem(prob_sec["builtin"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        problem = _builtin(prob_sec["builtin"])
     else:
         missing = [k for k in _EXPRESSION_FIELDS if k not in prob_sec]
         if missing:
@@ -213,12 +219,34 @@ def parse_config(path: str) -> RunConfig:
     return rc
 
 
-def _build_scheme(rc: RunConfig):
+def _system(rc: RunConfig) -> DiscreteSystem:
+    """grid -> scheme -> system; a failure of any of them is a ConfigError."""
     try:
         grid = make_grid(rc.problem.a, rc.problem.b, rc.cells)
-        return build_scheme(grid, rc.rule, midpoint_rows=rc.volterra_rows)
+        scheme = build_scheme(grid, rc.rule, midpoint_rows=rc.volterra_rows)
+        return build_system(rc.problem, scheme)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+# Every command catches exactly these.  A ConfigError (reading the config or
+# building the system) exits 1, any other one the command's own code (_fail).
+_FAILURES = (SolverError, NewtonError, ValueError, ArithmeticError)
+
+
+def _fail(exc: Exception, code: int, where: str = "") -> int:
+    """Report a caught failure on one stderr line and return its exit code."""
+    if isinstance(exc, ConfigError):
+        code = EXIT_CONFIG
+    label = "config error" if code == EXIT_CONFIG else f"solver failure{where}"
+    print(f"{label}: {exc}", file=_sys.stderr)
+    return code
+
+
+def _max_error(sys_obj: DiscreteSystem, xi) -> float:
+    """max |xi - exact| over the nodes."""
+    exact = np.asarray(sys_obj.problem.exact(sys_obj.scheme.nodes), dtype=float)
+    return float(np.max(np.abs(xi - exact)))
 
 
 def _fmt(value, precision: int = 12) -> str:
@@ -244,35 +272,30 @@ def _solution_csv(nodes, xi, exact_fn, precision: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _print_params(params, stream) -> None:
+def _print_params(params) -> None:
+    """The derived parameters and their a-priori bounds, one key=value a line."""
     for key in (
         "N", "m", "n_prime", "d", "h0", "n0",
         "q", "alpha", "gamma", "beta",
         "C_m", "C_nprime", "C1", "C2", "g_norm", "eps",
     ):
-        print(f"{key}={_fmt(getattr(params, key))}", file=stream)
-
-
-def _print_bounds(params, stream) -> None:
+        print(f"{key}={_fmt(getattr(params, key))}")
     cfg = ContinuationConfig(N=params.N, q=params.q, n0=params.n0)
-    print(f"iteration_bound={_fmt(hybrid.iteration_bound(params))}", file=stream)
-    print(f"iteration_bound_fine={_fmt(hybrid.iteration_bound_fine(params))}", file=stream)
-    print(f"inner_bound={_fmt(inner_bound(cfg, params.g_norm))}", file=stream)
-    print(f"op_budget={hybrid.op_budget(params)}", file=stream)
+    print(f"iteration_bound={_fmt(hybrid.iteration_bound(params))}")
+    print(f"iteration_bound_fine={_fmt(hybrid.iteration_bound_fine(params))}")
+    print(f"inner_bound={_fmt(inner_bound(cfg, params.g_norm))}")
+    print(f"op_budget={hybrid.op_budget(params)}")
 
 
-def _audit_or_none(rc: RunConfig, sys_obj) -> Optional[int]:
+def _audit_failures(rc: RunConfig, sys_obj: DiscreteSystem) -> list[str]:
+    """The audit's violations; a kernel that raises in the box is one too."""
     if not rc.audit:
-        return None
-    report = check_assumptions(
-        rc.problem, sys_obj.scheme, pairs=1000, seed=rc.seed
-    )
-    problems = report.violations(rc.problem)
-    if not problems:
-        return None
-    for msg in problems:
-        print(f"assumption audit failed: {msg}", file=_sys.stderr)
-    return EXIT_AUDIT
+        return []
+    try:
+        report = check_assumptions(rc.problem, sys_obj.scheme, pairs=1000, seed=rc.seed)
+    except _FAILURES as exc:
+        return [str(exc)]
+    return report.violations(rc.problem)
 
 
 def cmd_solve(config_path: str, out: str | None = None, method: str | None = None) -> int:
@@ -283,41 +306,31 @@ def cmd_solve(config_path: str, out: str | None = None, method: str | None = Non
             rc.out_path = out
         if method is not None:
             rc.method = method
-        scheme = _build_scheme(rc)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return EXIT_CONFIG
-
-    sys_obj = build_system(rc.problem, scheme)
-    audit_rc = _audit_or_none(rc, sys_obj)
-    if audit_rc is not None:
-        return audit_rc
-
-    try:
+        sys_obj = _system(rc)
+        violations = _audit_failures(rc, sys_obj)
+        for msg in violations:
+            print(f"assumption audit failed: {msg}", file=_sys.stderr)
+        if violations:
+            return EXIT_AUDIT
         if rc.method == "continuation":
-            params = hybrid.prepare(sys_obj, rc.eps, **rc.overrides)
-            sol = hybrid.solve(sys_obj, params)
-            xi = sol.xi
-            _print_params(params, _sys.stdout)
-            _print_bounds(params, _sys.stdout)
+            sol = hybrid.solve(sys_obj, hybrid.prepare(sys_obj, rc.eps, **rc.overrides))
+            xi, res = sol.xi, sol.residual
+            _print_params(sol.params)
             print(f"op_count={sol.budget.op_count}")
-            print(f"residual={_fmt(sol.residual)}")
-            if sol.per_node_error is not None:
-                print(f"max_node_error={_fmt(float(np.max(sol.per_node_error)))}")
-            print(f"note={sol.budget.discretization_note}")
         else:
             xi = newton_solve(sys_obj)
+            res = residual(sys_obj, xi)
             print("method=newton")
-            print(f"residual={_fmt(residual(sys_obj, xi))}")
-            if rc.problem.exact is not None:
-                exact = np.asarray(rc.problem.exact(scheme.nodes), dtype=float)
-                print(f"max_node_error={_fmt(float(np.max(np.abs(xi - exact))))}")
-    except (SolverError, NewtonError, ValueError, ArithmeticError) as exc:
-        print(f"solver failure: {exc}", file=_sys.stderr)
-        return EXIT_SOLVER
+        print(f"residual={_fmt(res)}")
+        if rc.problem.exact is not None:
+            print(f"max_node_error={_fmt(_max_error(sys_obj, xi))}")
+        if rc.method == "continuation":
+            print(f"note={sol.budget.discretization_note}")
+    except _FAILURES as exc:
+        return _fail(exc, EXIT_SOLVER)
 
     with open(rc.out_path, "w", newline="") as fh:
-        fh.write(_solution_csv(scheme.nodes, xi, rc.problem.exact, rc.precision))
+        fh.write(_solution_csv(sys_obj.scheme.nodes, xi, rc.problem.exact, rc.precision))
     print(f"wrote {rc.out_path}")
     return EXIT_OK
 
@@ -326,46 +339,32 @@ def cmd_bound(config_path: str) -> int:
     """Print the derived parameters and a-priori bounds without solving."""
     try:
         rc = parse_config(config_path)
-        scheme = _build_scheme(rc)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return EXIT_CONFIG
-    try:
-        sys_obj = build_system(rc.problem, scheme)
-        params = hybrid.prepare(sys_obj, rc.eps, **rc.overrides)
-    except (ValueError, SolverError) as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return EXIT_CONFIG
-    _print_params(params, _sys.stdout)
-    _print_bounds(params, _sys.stdout)
+        params = hybrid.prepare(_system(rc), rc.eps, **rc.overrides)
+    except _FAILURES as exc:
+        return _fail(exc, EXIT_CONFIG)
+    _print_params(params)
     return EXIT_OK
 
 
 def cmd_table(name: str) -> int:
     """Re-run the frozen reference configuration for a builtin and compare."""
     try:
-        problem = builtin_problem(name)
-        run = reference.REFERENCE_RUN[name]
+        problem = _builtin(name)
+        if name not in reference.REFERENCE_RUN:
+            raise ConfigError(f"no reference run for builtin problem {name!r}")
+        rc = RunConfig(problem, **reference.REFERENCE_RUN[name])
         ref_t, ref_vals = reference.reference_table(name)
-    except (ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return EXIT_CONFIG
-    try:
-        grid = make_grid(problem.a, problem.b, run["cells"])
-        scheme = build_scheme(grid, run["rule"], midpoint_rows=run["volterra_rows"])
-        sys_obj = build_system(problem, scheme)
-        params = hybrid.prepare(sys_obj, run["eps"], n0=run["n0"])
-        sol = hybrid.solve(sys_obj, params)
-    except (SolverError, ValueError, ArithmeticError) as exc:
-        print(f"solver failure: {exc}", file=_sys.stderr)
-        return EXIT_SOLVER
+        sys_obj = _system(rc)
+        nodes = sys_obj.scheme.nodes
+        if not np.allclose(nodes, ref_t, atol=1e-12):
+            raise SolverError("reference grid mismatch")
+        sol = hybrid.solve(sys_obj, hybrid.prepare(sys_obj, rc.eps, **rc.overrides))
+    except _FAILURES as exc:
+        return _fail(exc, EXIT_SOLVER)
 
-    if not np.allclose(scheme.nodes, ref_t, atol=1e-12):
-        print("solver failure: reference grid mismatch", file=_sys.stderr)
-        return EXIT_SOLVER
-    exact = np.asarray(problem.exact(scheme.nodes), dtype=float)
+    exact = np.asarray(problem.exact(nodes), dtype=float)
     print("t,exact,approx,ref_approx,delta_vs_ref")
-    for t, e, x, r in zip(scheme.nodes, exact, sol.xi, ref_vals):
+    for t, e, x, r in zip(nodes, exact, sol.xi, ref_vals):
         print(
             f"{_fmt(t, 10)},{_fmt(e, 10)},{_fmt(x, 10)},"
             f"{_fmt(r, 10)},{_fmt(abs(x - r), 10)}"
@@ -375,39 +374,28 @@ def cmd_table(name: str) -> int:
 
 def cmd_convergence(name: str, levels: int, base: int = 25) -> int:
     """Newton-oracle max-node errors under grid refinement (reporting only)."""
-    if levels < 2:
-        print("config error: need at least 2 refinement levels", file=_sys.stderr)
-        return EXIT_CONFIG
-    if base < 1:
-        print("config error: base cell count must be positive", file=_sys.stderr)
-        return EXIT_CONFIG
     try:
-        problem = builtin_problem(name)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return EXIT_CONFIG
-    if problem.exact is None:
-        print(
-            "config error: convergence reporting needs a declared exact solution",
-            file=_sys.stderr,
-        )
-        return EXIT_CONFIG
+        if levels < 2:
+            raise ConfigError("need at least 2 refinement levels")
+        if base < 1:
+            raise ConfigError("base cell count must be positive")
+        rc = RunConfig(_builtin(name))
+        if rc.problem.exact is None:
+            raise ConfigError("convergence reporting needs a declared exact solution")
+    except _FAILURES as exc:
+        return _fail(exc, EXIT_CONFIG)
 
     print("cells,h,max_error,ratio")
     prev = None
     for k in range(levels):
         cells = base * 2**k
         try:
-            scheme = build_scheme(make_grid(problem.a, problem.b, cells), "midpoint")
-            sys_obj = build_system(problem, scheme)
-            xi = newton_solve(sys_obj)
-        except (NewtonError, ValueError) as exc:
-            print(f"solver failure at {cells} cells: {exc}", file=_sys.stderr)
-            return EXIT_SOLVER
-        exact = np.asarray(problem.exact(scheme.nodes), dtype=float)
-        err = float(np.max(np.abs(xi - exact)))
+            sys_obj = _system(replace(rc, cells=cells))
+            err = _max_error(sys_obj, newton_solve(sys_obj))
+        except _FAILURES as exc:
+            return _fail(exc, EXIT_SOLVER, f" at {cells} cells")
         ratio = "" if prev is None else _fmt(prev / err, 6)
-        print(f"{cells},{_fmt(scheme.grid.h, 6)},{_fmt(err, 6)},{ratio}")
+        print(f"{cells},{_fmt(sys_obj.scheme.grid.h, 6)},{_fmt(err, 6)},{ratio}")
         prev = err
     return EXIT_OK
 

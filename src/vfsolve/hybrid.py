@@ -124,7 +124,12 @@ class Solution:
 
 def _power_coeff(M: float, k: int) -> float:
     # M^k / sqrt((k-1)!) — the k-fold composition constant of the Volterra map
-    return M**k / math.sqrt(math.factorial(k - 1))
+    try:
+        return M**k / math.sqrt(math.factorial(k - 1))
+    except OverflowError:
+        raise ValueError(
+            f"M={M} is too large: M^k/sqrt((k-1)!) overflows a float at k={k}"
+        ) from None
 
 
 def derive_params(
@@ -144,7 +149,10 @@ def derive_params(
     alpha = M^m/sqrt((m-1)!) <= 0.1; d the smallest with (C1+C2)*beta^d <= eps
     (capped at D_CAP); h0 = m-1 and n0 = m*d + h0.  Any of N, m, n_prime, n0
     may be pinned instead, in which case the dependent values are recomputed
-    (pinning n0 sets d = n0 // m, h0 = n0 % m).
+    (pinning n0 sets d = n0 // m, h0 = n0 % m).  The sums need
+    M^k/sqrt((k-1)!) for k up to max(m, n_prime), which overflows a float at
+    k = 172, so a derived n_prime caps M at sqrt(171)/2 ≈ 6.538; a larger M
+    raises ValueError.
     """
     if not (np.isfinite(M) and M >= 0) or not (np.isfinite(L) and L >= 0):
         raise ValueError(f"M and L must be finite and nonnegative, got M={M}, L={L}")
@@ -159,14 +167,8 @@ def derive_params(
     if q >= 1.0:
         raise ValueError(f"N={N} gives q={q} >= 1; need a finer split")
 
-    if n_prime is None:
-        n_prime = 1
-        while M / math.sqrt(n_prime) > 0.5:
-            n_prime += 1
-    gamma = M / math.sqrt(n_prime)
-    if gamma >= 1.0:
-        raise ValueError(f"n_prime={n_prime} gives gamma={gamma} >= 1")
-
+    # m first: its search overflows (and raises) within about 170 steps for a
+    # large M, while the n_prime search would take about 4*M^2 steps
     if m is None:
         m = 2
         while _power_coeff(M, m) > 0.1:
@@ -174,6 +176,14 @@ def derive_params(
     alpha = _power_coeff(M, m)
     if alpha >= 1.0:
         raise ValueError(f"m={m} gives alpha={alpha} >= 1; increase m")
+
+    if n_prime is None:
+        n_prime = 1
+        while M / math.sqrt(n_prime) > 0.5:
+            n_prime += 1
+    gamma = M / math.sqrt(n_prime)
+    if gamma >= 1.0:
+        raise ValueError(f"n_prime={n_prime} gives gamma={gamma} >= 1")
 
     C_m = sum(_power_coeff(M, k) for k in range(1, m + 1))
     C_nprime = (

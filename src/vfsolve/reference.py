@@ -14,14 +14,15 @@ import numpy as np
 
 __all__ = ["REFERENCE_RUN", "reference_table"]
 
-# builtin name -> solver configuration the reference values were produced with
+# builtin name -> RunConfig keyword arguments of the run that produced the
+# reference values (configs/reference.ini describes the same run)
 REFERENCE_RUN = {
     "benchmark": {
         "rule": "midpoint",
         "cells": 50,
         "volterra_rows": "full_cell",
         "eps": 1e-3,
-        "n0": 55,
+        "overrides": {"n0": 55},
     },
 }
 

@@ -65,7 +65,7 @@ def table_run():
     scheme = build_scheme(grid, run["rule"], midpoint_rows=run["volterra_rows"])
     sys_obj = build_system(prob, scheme)
     t0 = time.perf_counter()
-    params = prepare(sys_obj, run["eps"], n0=run["n0"])
+    params = prepare(sys_obj, run["eps"], **run["overrides"])
     sol = solve(sys_obj, params)
     elapsed = time.perf_counter() - t0
     return sys_obj, sol, elapsed

@@ -1,13 +1,14 @@
 """CLI behavior: config validation, exit codes, CSV shape, determinism."""
 
 import csv
+import hashlib
 import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vfsolve import cli
+from vfsolve import cli, reference
 from vfsolve.cli import (
     EXIT_AUDIT,
     EXIT_CONFIG,
@@ -18,9 +19,11 @@ from vfsolve.cli import (
     cmd_convergence,
     cmd_solve,
     cmd_table,
+    RunConfig,
     main,
     parse_config,
 )
+from vfsolve.problem import builtin_problem
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -237,6 +240,49 @@ def test_solver_failure_exits_2(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_nonfinite_forcing_is_config_error_in_solve_and_bound(tmp_path, capsys):
+    path = write_ini(
+        tmp_path,
+        "[problem]\na = 0\nb = 1\nk1 = 0\nk2 = 0\ng = 1/t\nM = 0.5\nL = 0.5\n"
+        "[quadrature]\nrule = trapezoid\ncells = 10\n",
+    )
+    expected = (
+        "config error: division by zero in '(1.0 / t)': "
+        "1 offending input point(s), first at index (0,)\n"
+    )
+    for cmd in (cmd_solve, cmd_bound):
+        assert cmd(path) == EXIT_CONFIG
+        assert capsys.readouterr().err == expected
+
+
+def test_audit_kernel_error_exits_3(tmp_path, capsys):
+    # ln(x) is undefined on part of the audit box, so the audit itself raises
+    path = write_ini(
+        tmp_path,
+        "[problem]\na = 0\nb = 1\nk1 = 0\nk2 = ln(x)\ng = t\nM = 0.5\nL = 0.5\n"
+        "[quadrature]\ncells = 10\n[solver]\naudit = true\n",
+    )
+    assert cmd_solve(path) == EXIT_AUDIT
+    assert capsys.readouterr().err == (
+        "assumption audit failed: ln of a non-positive value in 'ln(x)': "
+        "50 offending input point(s), first at index (0, 0)\n"
+    )
+
+
+@pytest.mark.parametrize("M, k", [("1000", 103), ("1e6", 52)])
+def test_large_M_fails_derivation_in_bound_and_solve(tmp_path, capsys, M, k):
+    path = write_ini(
+        tmp_path,
+        f"[problem]\na = 0\nb = 1\nk1 = 0\nk2 = 0\ng = t\nM = {M}\nL = 0.5\n"
+        "[quadrature]\ncells = 10\n",
+    )
+    why = f"M={float(M)} is too large: M^k/sqrt((k-1)!) overflows a float at k={k}\n"
+    assert cmd_bound(path) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: " + why
+    assert cmd_solve(path) == EXIT_SOLVER
+    assert capsys.readouterr().err == "solver failure: " + why
+
+
 # ---------------------------------------------------------------- bound
 
 def test_bound_reference_prints_pinned_params(capsys):
@@ -279,6 +325,17 @@ def test_table_benchmark(capsys):
     assert rows[0]["t"] == "0.01"
     assert rows[0]["ref_approx"] == "0.0099948368"
     assert max(float(r["delta_vs_ref"]) for r in rows) <= 5e-3
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "988fc69e4e4c3fc7870b4caba9c4d9151993277f69894f8661367b89e3996f8d"
+    )
+
+
+def test_reference_run_matches_reference_config():
+    # `vfsolve table` runs REFERENCE_RUN; configs/reference.ini must stay the same run
+    from_ini = parse_config(str(CONFIGS / "reference.ini"))
+    frozen = RunConfig(builtin_problem("benchmark"), **reference.REFERENCE_RUN["benchmark"])
+    for key in ("rule", "cells", "volterra_rows", "eps", "overrides"):
+        assert getattr(from_ini, key) == getattr(frozen, key), key
 
 
 def test_table_unknown_builtin(capsys):

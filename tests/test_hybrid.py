@@ -109,6 +109,17 @@ def test_derive_params_d_cap():
         derive_params(0.0, 1.999998, 1.0, 1e-3)
 
 
+def test_derive_params_large_M_raises_at_once():
+    # the n_prime search alone would take about 4*M^2 = 4e12 steps
+    with pytest.raises(ValueError, match=r"M=1000000.0 is too large.* at k=52"):
+        derive_params(1e6, 0.5, 1.0, 1e-3)
+    # the documented limit: a derived n_prime needs M^k/sqrt((k-1)!) up to k = 4*M^2
+    limit = math.sqrt(171) / 2
+    assert derive_params(limit, 0.5, 1.0, 1e-3).n_prime == 171
+    with pytest.raises(ValueError, match="overflows a float at k=172"):
+        derive_params(limit * (1 + 1e-12), 0.5, 1.0, 1e-3)
+
+
 # ---------------------------------------------------------------------------
 # bounds and budgets
 
