@@ -10,7 +10,8 @@ Problems are described in an INI-style config with four sections::
 
 Unknown sections or fields are hard errors (typo protection).  Exit codes:
 0 success; 1 config error, which includes a failure to build the grid, scheme
-or system in every command and a failed parameter derivation in ``bound``;
+or system in every command, an output path ``solve`` cannot write (refused
+before the solve) and a failed parameter derivation in ``bound``;
 2 solver failure, which includes a failed derivation in ``solve``/``table``;
 3 assumption-audit failure, which includes a kernel that raises in the audit.
 All randomness is seeded, and CSV output is plain text with fixed formatting,
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import argparse
 import configparser
+import os
 import sys as _sys
 
 import numpy as np
@@ -298,6 +300,20 @@ def _audit_failures(rc: RunConfig, sys_obj: DiscreteSystem) -> list[str]:
     return report.violations(rc.problem)
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be written, without creating it."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        why = "it is a directory"
+    elif not os.path.isdir(folder):
+        why = f"no directory {folder!r}"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        why = "permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write output file {path!r}: {why}")
+
+
 def cmd_solve(config_path: str, out: str | None = None, method: str | None = None) -> int:
     """Solve the configured problem and write the solution CSV."""
     try:
@@ -306,6 +322,7 @@ def cmd_solve(config_path: str, out: str | None = None, method: str | None = Non
             rc.out_path = out
         if method is not None:
             rc.method = method
+        _check_writable(rc.out_path)
         sys_obj = _system(rc)
         violations = _audit_failures(rc, sys_obj)
         for msg in violations:
@@ -329,8 +346,11 @@ def cmd_solve(config_path: str, out: str | None = None, method: str | None = Non
     except _FAILURES as exc:
         return _fail(exc, EXIT_SOLVER)
 
-    with open(rc.out_path, "w", newline="") as fh:
-        fh.write(_solution_csv(sys_obj.scheme.nodes, xi, rc.problem.exact, rc.precision))
+    try:
+        with open(rc.out_path, "w", newline="") as fh:
+            fh.write(_solution_csv(sys_obj.scheme.nodes, xi, rc.problem.exact, rc.precision))
+    except OSError as exc:
+        return _fail(ConfigError(f"cannot write output file: {exc}"), EXIT_CONFIG)
     print(f"wrote {rc.out_path}")
     return EXIT_OK
 

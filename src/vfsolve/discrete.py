@@ -23,8 +23,9 @@ Either result is broadcast to (dim, dim), so a kernel may return a
 lower-rank array or a scalar (e.g. ``lambda t, s, x: 0.0``).  The kernel
 calls live in :func:`k1_table` and :func:`k2_table` alone; phi, fred and the
 Newton oracle's Jacobian all go through them.  Only the length-dim output of
-phi and fred is checked for non-finite values; when it fails, the kernel
-table is searched for the offending cell to name in the error.
+phi and fred is checked for non-finite values; when it fails, or when numpy's
+warning about the weighted sum is raised as an error (``python -W error``),
+the kernel table is searched for the offending cell to name in the error.
 """
 
 from __future__ import annotations
@@ -138,7 +139,11 @@ def phi(sys: DiscreteSystem, xi) -> np.ndarray:
     v = _as_state(sys, xi)
     mask = sys.volterra_mask
     vals = k1_table(sys, v)
-    out = (sys.scheme.volterra_weights * np.where(mask, vals, 0.0)).sum(axis=1)
+    try:
+        out = (sys.scheme.volterra_weights * np.where(mask, vals, 0.0)).sum(axis=1)
+    except RuntimeWarning:  # numpy's warning about a bad table, raised by -W error
+        _check_kernel_values(vals, mask, "volterra kernel k1")
+        raise
     if not np.isfinite(out).all():
         _check_kernel_values(vals, mask, "volterra kernel k1")
     return out
@@ -147,7 +152,11 @@ def phi(sys: DiscreteSystem, xi) -> np.ndarray:
 def fred_unchecked(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     """:func:`fred` for a state already known to be a finite length-dim array."""
     vals = k2_table(sys, v)
-    out = vals @ sys.scheme.global_weights
+    try:
+        out = vals @ sys.scheme.global_weights
+    except RuntimeWarning:  # as in phi
+        _check_kernel_values(vals, None, "fredholm kernel k2")
+        raise
     if not np.isfinite(out).all():
         _check_kernel_values(vals, None, "fredholm kernel k2")
     return out

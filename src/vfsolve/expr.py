@@ -17,6 +17,11 @@ non-positive value, square root of a negative value, division by zero,
 fractional power of a negative base, overflow) raises :class:`EvalDomainError`
 instead of returning NaN or infinity.  Scalars and numpy arrays are accepted
 for t, s, x and broadcast together.
+
+:func:`evaluate` interprets a tree and checks every subexpression.
+:func:`compile_expression` turns a tree, once, into a function that makes the
+same numpy calls with numpy's floating-point errors raised, checks only its
+result, and re-runs :func:`evaluate` only to name an error.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "parse",
     "parse_expression",
     "evaluate",
+    "compile_expression",
     "to_string",
     "variables_used",
 ]
@@ -59,6 +65,14 @@ _UFUNC = {
     "ln": np.log,
     "sqrt": np.sqrt,
     "abs": np.abs,
+}
+
+_BINARY_UFUNC = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
 }
 
 
@@ -366,25 +380,16 @@ def evaluate(expr: Expr, t, s, x):
             return check(node, _UFUNC[node.fn](arg))
         # binary operator
         left, right = ev(node.left), ev(node.right)
-        op = node.op
-        if op == "+":
-            return check(node, np.add(left, right))
-        if op == "-":
-            return check(node, np.subtract(left, right))
-        if op == "*":
-            return check(node, np.multiply(left, right))
-        if op == "/":
-            if np.any(mask := np.asarray(right) == 0.0):
-                fail(node, "division by zero", mask)
-            return check(node, np.divide(left, right))
-        # power
-        lb, rb = np.asarray(left), np.asarray(right)
-        frac = rb != np.floor(rb)
-        if np.any(mask := (lb < 0.0) & frac):
-            fail(node, "fractional power of a negative base", mask)
-        if np.any(mask := (lb == 0.0) & (rb < 0.0)):
-            fail(node, "zero raised to a negative power", mask)
-        return check(node, np.power(left, right))
+        if node.op == "/" and np.any(mask := np.asarray(right) == 0.0):
+            fail(node, "division by zero", mask)
+        if node.op == "^":
+            lb, rb = np.asarray(left), np.asarray(right)
+            frac = rb != np.floor(rb)
+            if np.any(mask := (lb < 0.0) & frac):
+                fail(node, "fractional power of a negative base", mask)
+            if np.any(mask := (lb == 0.0) & (rb < 0.0)):
+                fail(node, "zero raised to a negative power", mask)
+        return check(node, _BINARY_UFUNC[node.op](left, right))
 
     with np.errstate(all="ignore"):
         result = ev(expr)
@@ -392,6 +397,62 @@ def evaluate(expr: Expr, t, s, x):
     if shape == ():
         return float(result)
     return np.broadcast_to(result, shape).copy() if result.shape != shape else result
+
+
+_VARIABLE = {
+    "t": lambda t, s, x: t,
+    "s": lambda t, s, x: s,
+    "x": lambda t, s, x: x,
+}
+
+
+def _compile_node(node: Expr):
+    """``node`` as a function of (t, s, x) making :func:`evaluate`'s ufunc calls."""
+    if type(node) is Const:
+        value = node.value
+        return lambda t, s, x: value
+    if type(node) is Var:
+        return _VARIABLE[node.name]
+    if type(node) is Neg:
+        operand = _compile_node(node.operand)
+        return lambda t, s, x: np.negative(operand(t, s, x))
+    if type(node) is Call:
+        ufunc, arg = _UFUNC[node.fn], _compile_node(node.arg)
+        return lambda t, s, x: ufunc(arg(t, s, x))
+    ufunc = _BINARY_UFUNC[node.op]
+    left, right = _compile_node(node.left), _compile_node(node.right)
+    return lambda t, s, x: ufunc(left(t, s, x), right(t, s, x))
+
+
+def compile_expression(expr: Expr):
+    """Compile ``expr`` once into a function ``f(t, s, x)`` with the contract
+    of :func:`evaluate`.
+
+    ``f`` makes the same numpy calls in the same order as :func:`evaluate`, so
+    its results are bit-identical, but it checks only for floating-point
+    errors (numpy raising) and for a non-finite final result.  When either
+    check fails it re-runs :func:`evaluate`, which raises the
+    :class:`EvalDomainError` naming the offending subexpression.
+    """
+    body = _compile_node(expr)
+
+    def compiled(t, s, x):
+        ta = np.asarray(t, dtype=float)
+        sa = np.asarray(s, dtype=float)
+        xa = np.asarray(x, dtype=float)
+        shape = np.broadcast(ta, sa, xa).shape
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                result = np.asarray(body(ta, sa, xa), dtype=float)
+        except FloatingPointError:
+            return evaluate(expr, t, s, x)
+        if not np.isfinite(result).all():
+            return evaluate(expr, t, s, x)
+        if shape == ():
+            return float(result)
+        return result if result.shape == shape else np.broadcast_to(result, shape).copy()
+
+    return compiled
 
 
 def variables_used(expr: Expr) -> set[str]:

@@ -103,12 +103,15 @@ def builtin_problem(name: str) -> Problem:
         ) from None
 
 
-def _t_only(tree: expr.Expr, what: str) -> None:
+def _function_of_t(src: str, what: str) -> Callable:
+    tree = expr.parse_expression(src)
     extra = expr.variables_used(tree) - {"t"}
     if extra:
         raise expr.ParseError(
             f"{what} may only use the variable t, found {sorted(extra)}"
         )
+    of_tsx = expr.compile_expression(tree)
+    return lambda t: of_tsx(t, 0.0, 0.0)
 
 
 def from_expressions(
@@ -125,31 +128,13 @@ def from_expressions(
     """Build a problem from expression strings in the t/s/x language.
 
     Parse errors (with source offsets) propagate from :mod:`vfsolve.expr`.
-    The forcing term and the exact solution may only reference t.
+    The forcing term and the exact solution may only reference t.  Each
+    expression is compiled once (:func:`vfsolve.expr.compile_expression`).
     """
-    k1_tree = expr.parse_expression(k1_src)
-    k2_tree = expr.parse_expression(k2_src)
-    g_tree = expr.parse_expression(g_src)
-    _t_only(g_tree, "forcing term g")
-    exact_tree = None
-    if exact_src is not None:
-        exact_tree = expr.parse_expression(exact_src)
-        _t_only(exact_tree, "exact solution")
-
-    def k1(t, s, x, _tree=k1_tree):
-        return expr.evaluate(_tree, t, s, x)
-
-    def k2(t, s, x, _tree=k2_tree):
-        return expr.evaluate(_tree, t, s, x)
-
-    def g(t, _tree=g_tree):
-        return expr.evaluate(_tree, t, 0.0, 0.0)
-
-    exact = None
-    if exact_tree is not None:
-        def exact(t, _tree=exact_tree):
-            return expr.evaluate(_tree, t, 0.0, 0.0)
-
+    k1 = expr.compile_expression(expr.parse_expression(k1_src))
+    k2 = expr.compile_expression(expr.parse_expression(k2_src))
+    g = _function_of_t(g_src, "forcing term g")
+    exact = None if exact_src is None else _function_of_t(exact_src, "exact solution")
     return Problem(float(a), float(b), k1, k2, g, float(M), float(L), exact, name)
 
 

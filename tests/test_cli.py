@@ -240,6 +240,41 @@ def test_solver_failure_exits_2(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_unwritable_out_path_is_config_error_before_the_solve(tmp_path, capsys):
+    path = write_ini(tmp_path, CHEAP)
+    missing = tmp_path / "missing" / "x.csv"
+    assert main(["solve", "--config", path, "--out", str(missing)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing was solved
+    assert captured.err == (
+        f"config error: cannot write output file {str(missing)!r}: "
+        f"no directory {str(missing.parent)!r}\n"
+    )
+    assert cmd_solve(path, out=str(tmp_path)) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: cannot write output file {str(tmp_path)!r}: it is a directory\n"
+    )
+    assert not missing.parent.exists()
+
+
+def test_write_error_after_the_solve_is_config_error(tmp_path, capsys, monkeypatch):
+    def refuse_writes(file, mode="r", **kwargs):
+        if "w" in mode:
+            raise PermissionError(13, "Permission denied", file)
+        return open(file, mode, **kwargs)
+
+    path = write_ini(tmp_path, CHEAP)
+    out = tmp_path / "x.csv"
+    monkeypatch.setattr(cli, "open", refuse_writes, raising=False)
+    assert cmd_solve(path, out=str(out)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "op_count=" in captured.out
+    assert captured.err == (
+        f"config error: cannot write output file: [Errno 13] Permission denied: {str(out)!r}\n"
+    )
+    assert not out.exists()
+
+
 def test_nonfinite_forcing_is_config_error_in_solve_and_bound(tmp_path, capsys):
     path = write_ini(
         tmp_path,

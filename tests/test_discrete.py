@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,29 @@ def test_nonfinite_lambda_kernel_names_first_cell(rule, which, want):
     sys = build_system(prob, build_scheme(make_grid(0.0, 1.0, 10), rule))
     with pytest.raises(ValueError) as info:
         (phi if which == "phi" else fred)(sys, np.zeros(sys.dim))
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize(
+    "which, want",
+    [
+        ("phi", "volterra kernel k1 evaluated non-finite at mesh cell (i=0, j=0)"),
+        ("fred", "fredholm kernel k2 evaluated non-finite at mesh cell (i=0, j=0)"),
+    ],
+)
+def test_mixed_infinite_kernel_names_cell_under_warnings_as_errors(which, want):
+    # +inf and -inf in one row make numpy warn about the weighted sum; with
+    # warnings turned into errors the caller still gets the cell, not the warning
+    def bad(t, s, x):
+        return np.where(s > 0.5, np.inf, -np.inf) * t
+
+    p = benchmark_problem()
+    prob = type(p)(a=0.0, b=1.0, k1=bad, k2=bad, g=p.g, M=p.M, L=p.L)
+    sys = build_system(prob, build_scheme(make_grid(0.0, 1.0, 10), "midpoint"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            (phi if which == "phi" else fred)(sys, np.zeros(sys.dim))
     assert str(info.value) == want
 
 

@@ -19,6 +19,7 @@ from vfsolve.expr import (
     ParseError,
     TokenizeError,
     Var,
+    compile_expression,
     evaluate,
     parse_expression,
     to_string,
@@ -196,6 +197,7 @@ def test_fractional_power_of_negative_base():
 def test_integer_power_of_negative_base_is_fine():
     assert evaluate(parse_expression("t^2"), -3.0, 0.0, 0.0) == 9.0
     assert evaluate(parse_expression("t^3"), -2.0, 0.0, 0.0) == -8.0
+    assert compile_expression(parse_expression("t^2 + t^3"))(-3.0, 0.0, 0.0) == -18.0
 
 
 def test_zero_to_negative_power():
@@ -217,6 +219,130 @@ def test_domain_error_in_array_input():
 def test_domain_error_names_subexpression():
     with pytest.raises(EvalDomainError, match=r"ln\(\(t - 2\.0\)\)"):
         evaluate(parse_expression("ln(t-2)"), 1.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# compiled kernels: bit-identical results, identical errors
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_compiled_corpus_is_bit_identical_for_scalars():
+    rng = np.random.default_rng(31)
+    for source, _ in CORPUS:
+        tree = parse_expression(source)
+        compiled = compile_expression(tree)
+        for t, s, x in rng.uniform(0.1, 2.0, size=(20, 3)):
+            got = compiled(t, s, x)
+            assert type(got) is float, source
+            _assert_same(got, evaluate(tree, t, s, x))
+
+
+def test_compiled_corpus_is_bit_identical_for_vectors():
+    rng = np.random.default_rng(32)
+    t, s, x = rng.uniform(0.1, 2.0, size=(3, 50))
+    for source, _ in CORPUS:
+        tree = parse_expression(source)
+        _assert_same(compile_expression(tree)(t, s, x), evaluate(tree, t, s, x))
+
+
+def test_compiled_corpus_is_bit_identical_for_kernel_tables():
+    # the argument shapes discrete passes to k2, and to k1
+    rng = np.random.default_rng(33)
+    dim = 12
+    nodes = np.sort(rng.uniform(0.1, 2.0, dim))
+    xi = rng.uniform(0.1, 2.0, dim)
+    s_table = np.where(np.tri(dim) != 0.0, nodes[None, :], nodes[0])
+    x_table = np.where(np.tri(dim) != 0.0, xi[None, :], xi[0])
+    shapes = [
+        (nodes[:, None], nodes[None, :], xi[None, :]),
+        (nodes[:, None], s_table, x_table),
+    ]
+    for source, _ in CORPUS:
+        tree = parse_expression(source)
+        compiled = compile_expression(tree)
+        for t, s, x in shapes:
+            got = compiled(t, s, x)
+            assert got.shape == (dim, dim), source
+            _assert_same(got, evaluate(tree, t, s, x))
+
+
+def test_compiled_constant_is_broadcast_to_the_table():
+    tree = parse_expression("2*pi - 1")
+    t, s, x = np.ones((5, 1)), np.ones((1, 5)), np.zeros((1, 5))
+    got = compile_expression(tree)(t, s, x)
+    assert got.shape == (5, 5) and got.flags.writeable
+    _assert_same(got, evaluate(tree, t, s, x))
+    _assert_same(compile_expression(tree)(0.0, 0.0, 0.0), evaluate(tree, 0.0, 0.0, 0.0))
+
+
+# every domain error of this module, as (source, t): compiled and checked
+# evaluation must raise the same text
+DOMAIN_ERRORS = [
+    ("ln(t)", 0.0),
+    ("ln(t)", -1.0),
+    ("sqrt(t)", -1e-12),
+    ("1/t", 0.0),
+    ("t/t", 0.0),
+    ("t^0.5", -2.0),
+    ("t^-1", 0.0),
+    ("exp(t)", 1000.0),
+    ("ln(t)", np.array([1.0, 2.0, -3.0])),
+    ("ln(t-2)", 1.0),
+    ("t^t", np.array([[1.0, -0.5], [0.0, 2.0]])),
+    ("exp(1000*t) * 0", 1.0),
+    ("1/exp(1000*t)", np.linspace(0.0, 1.0, 7)),
+    ("exp(-exp(1000*t))", 1.0),
+    ("2*t", np.inf),  # no floating-point error: only the result check sees it
+]
+
+
+@pytest.mark.parametrize("source, t", DOMAIN_ERRORS)
+def test_compiled_domain_error_text_matches_evaluate(source, t):
+    tree = parse_expression(source)
+    with pytest.raises(EvalDomainError) as checked:
+        evaluate(tree, t, 0.5, 0.5)
+    with pytest.raises(EvalDomainError) as compiled:
+        compile_expression(tree)(t, 0.5, 0.5)
+    assert str(compiled.value) == str(checked.value)
+
+
+def test_compiled_intermediate_overflow_with_finite_result_raises():
+    # exp overflows to inf, and 1/inf is a finite 0: only the floating-point
+    # error tells the compiled kernel to re-run the checked evaluator
+    tree = parse_expression("1/exp(1000*x)")
+    want = (
+        "non-finite result (overflow) in 'exp((1000.0 * x))': "
+        "1 offending input point(s), first at index (1,)"
+    )
+    x = np.array([0.0, 1.0])
+    with pytest.raises(EvalDomainError) as info:
+        compile_expression(tree)(0.0, 0.0, x)
+    assert str(info.value) == want
+
+
+def test_compiled_error_path_calls_evaluate_through_the_module(monkeypatch):
+    # a wrapper installed on the module after compiling (as a tracer does) is
+    # what names the error; finite calls never reach it
+    from vfsolve import expr
+
+    calls = []
+
+    def traced(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    compiled = compile_expression(parse_expression("ln(t)"))
+    monkeypatch.setattr(expr, "evaluate", traced)
+    assert compiled(1.0, 0.0, 0.0) == 0.0
+    assert calls == []
+    with pytest.raises(EvalDomainError, match="ln of a non-positive"):
+        compiled(0.0, 0.0, 0.0)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
