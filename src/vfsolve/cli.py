@@ -294,7 +294,9 @@ def _audit_failures(rc: RunConfig, sys_obj: DiscreteSystem) -> list[str]:
     if not rc.audit:
         return []
     try:
-        report = check_assumptions(rc.problem, sys_obj.scheme, pairs=1000, seed=rc.seed)
+        report = check_assumptions(
+            rc.problem, sys_obj.scheme, pairs=1000, seed=rc.seed, system=sys_obj
+        )
     except _FAILURES as exc:
         return [str(exc)]
     return report.violations(rc.problem)

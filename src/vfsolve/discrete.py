@@ -21,16 +21,35 @@ rather than full meshes:
 
 Either result is broadcast to (dim, dim), so a kernel may return a
 lower-rank array or a scalar (e.g. ``lambda t, s, x: 0.0``).  The kernel
-calls live in :func:`k1_table` and :func:`k2_table` alone; phi, fred and the
-Newton oracle's Jacobian all go through them.  Only the length-dim output of
-phi and fred is checked for non-finite values; when it fails, or when numpy's
-warning about the weighted sum is raised as an error (``python -W error``),
-the kernel table is searched for the offending cell to name in the error.
+tables come from :func:`k1_table` and :func:`k2_table` alone; phi, fred and
+the Newton oracle's Jacobian all go through them.  Only the length-dim output
+of phi and fred is checked for non-finite values; when it fails, or when
+numpy's warning about the weighted sum is raised as an error (``python -W
+error``), the kernel's own table is searched for the offending cell to name
+in the error.
+
+Separable kernels.  A problem may declare k = sum_r c_r(t, s) * e_r(s, x)
+(``Problem.k1_terms``/``k2_terms``), with c_r free of the state and e_r
+free of t.  :func:`build_system` checks the form against the kernel at dim
+points (t_i, s_i, g_i), with s_i <= t_i for k1: a mismatch beyond 1e-12
+relative is a ValueError, and a form whose check raises or is non-finite is
+not used.  Each c_r is evaluated on the kernel's own (t, s) table, once
+for k2 and per table for k1.  A table then costs dim evaluations of each
+e_r, on the row (s_j, xi_j), and one multiply-add per term, instead of
+dim^2 kernel evaluations; the points (s_j, xi_j) are ones the kernel's own
+table holds in its last row.  A form that repeats the kernel's last
+operations, as the builtin's and :func:`vfsolve.expr.split_terms`'s do,
+gives tables bit-identical to the kernel's in every cell phi, fred and the
+Jacobian use.
+Where a c_r or e_r raises, the kernel builds the table, and phi and fred
+name a non-finite cell from the kernel's own table, so errors and their
+texts are the kernel's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,6 +82,9 @@ class DiscreteSystem:
     # nonzero Volterra weights, and s with the other cells clamped to s_0
     volterra_mask: np.ndarray = field(repr=False)
     s_mesh_volterra: np.ndarray = field(repr=False)
+    # the kernels' separable forms once checked against them, or None
+    k1_terms: tuple | None = field(default=None, repr=False)
+    k2_terms: tuple | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -72,9 +94,64 @@ class DiscreteSystem:
     def grid(self) -> "Grid":
         return self.scheme.grid
 
+    # F is mapped (n0+1)^(N+1) - 1 times a solve, Phi about n0 times: k2's
+    # c_r tables are kept from first use on, k1's are evaluated per table and
+    # take no memory beyond it
+    @property
+    def k1_split(self) -> tuple | None:
+        """k1's form as (c_r on k1's (t, s) table, e_r) pairs, or None."""
+        return _c_tables(self.k1_terms, self.scheme.nodes[:, None], self.s_mesh_volterra)
+
+    @cached_property
+    def k2_split(self) -> tuple | None:
+        """k2's form as (c_r on k2's (t, s) table, e_r) pairs, or None."""
+        nodes = self.scheme.nodes
+        return _c_tables(self.k2_terms, nodes[:, None], nodes[None, :])
+
+
+def _checked_terms(which: str, kernel, terms, t, s, x) -> tuple | None:
+    """``terms``, once sum_r c_r * e_r is checked against ``kernel`` at the
+    points (t_i, s_i, x_i); None where the kernel must serve alone."""
+    if terms is None:
+        return None
+    try:
+        dense = kernel(t, s, x)
+        parts = [c(t, s) * e(s, x) for c, e in terms]
+    except Exception:  # the kernel raises it, where and as it always has
+        return None
+    split = parts[0]
+    for part in parts[1:]:
+        split = split + part
+    if np.equal(split, dense).all():  # bit-identical (NaN never is)
+        return terms
+    if not (np.isfinite(split).all() and np.isfinite(dense).all()):
+        return None
+    gap = np.abs(split - dense) > 1e-12 * sum(np.abs(part) for part in parts)
+    wrong = np.broadcast_to(gap, t.shape)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        point = ", ".join(repr(float(a[i])) for a in (t, s, x))
+        values = [float(np.broadcast_to(a, t.shape)[i]) for a in (split, dense)]
+        raise ValueError(
+            f"{which}_terms do not match {which} at (t, s, x) = ({point}): "
+            f"{values[0]!r} from the terms, {values[1]!r} from the kernel"
+        )
+    return terms
+
+
+def _c_tables(terms, t, s) -> tuple | None:
+    """(c_r(t, s) as a (dim, dim) table, e_r) pairs, or None if a c_r raises."""
+    if terms is None:
+        return None
+    try:
+        return tuple((_kernel_table(c(t, s), len(t)), e) for c, e in terms)
+    except Exception:  # the kernel raises it, where and as it always has
+        return None
+
 
 def build_system(problem: "Problem", scheme: "QuadScheme") -> DiscreteSystem:
-    """Sample g on the nodes and precompute the Volterra argument table."""
+    """Sample g on the nodes, precompute the Volterra argument table, and
+    check the kernels' separable forms."""
     nodes = scheme.nodes
     g_vec = np.asarray(problem.g(nodes), dtype=float)
     if g_vec.shape != nodes.shape:
@@ -85,12 +162,18 @@ def build_system(problem: "Problem", scheme: "QuadScheme") -> DiscreteSystem:
         bad = int(np.argmax(~np.isfinite(g_vec)))
         raise ValueError(f"g is non-finite at node {bad} (t = {nodes[bad]})")
     mask = scheme.volterra_weights != 0.0
+    # check points (t_i, s_i, g_i): s = the nodes reversed, for k1 no later than t
+    s_rev = nodes[::-1]
     return DiscreteSystem(
         scheme=scheme,
         problem=problem,
         g_vec=g_vec,
         volterra_mask=mask,
         s_mesh_volterra=np.where(mask, nodes[None, :], nodes[0]),
+        k1_terms=_checked_terms(
+            "k1", problem.k1, problem.k1_terms, nodes, np.minimum(nodes, s_rev), g_vec
+        ),
+        k2_terms=_checked_terms("k2", problem.k2, problem.k2_terms, nodes, s_rev, g_vec),
     )
 
 
@@ -108,30 +191,65 @@ def _kernel_table(vals, dim: int) -> np.ndarray:
     return vals if vals.shape == (dim, dim) else np.broadcast_to(vals, (dim, dim))
 
 
-def _check_kernel_values(vals: np.ndarray, mask, which: str) -> None:
+def _kernel_call(sys: DiscreteSystem, which: str, v: np.ndarray) -> np.ndarray:
+    """The table from the kernel itself ("k1" or "k2")."""
+    nodes = sys.scheme.nodes
+    if which == "k1":
+        x_table = np.where(sys.volterra_mask, v[None, :], v[0])
+        vals = sys.problem.k1(nodes[:, None], sys.s_mesh_volterra, x_table)
+    else:
+        vals = sys.problem.k2(nodes[:, None], nodes[None, :], v[None, :])
+    return _kernel_table(vals, len(nodes))
+
+
+def _split_table(split, nodes: np.ndarray, v: np.ndarray):
+    """sum_r c_r * e_r(s_j, v_j) as a table, or None for the kernel to decide."""
+    s, x = nodes[None, :], v[None, :]
+    vals = None
+    try:
+        for c_table, e in split:
+            term = c_table * e(s, x)
+            vals = term if vals is None else vals + term
+    except Exception:  # the kernel raises it, with its own text
+        return None
+    return vals
+
+
+def _check_kernel_values(sys: DiscreteSystem, which: str, v: np.ndarray, vals) -> None:
+    """Raise the error naming the kernel's first non-finite table cell, if any.
+
+    A table built from a separable form is replaced by the kernel's own, so
+    the kernel raises, or names the cell, exactly as it does without one.
+    """
+    if getattr(sys, f"{which}_terms") is not None:
+        vals = _kernel_call(sys, which, v)
     bad = ~np.isfinite(vals)
-    if mask is not None:
-        bad &= mask
+    if which == "k1":
+        bad &= sys.volterra_mask
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
-        raise ValueError(f"{which} evaluated non-finite at mesh cell (i={i}, j={j})")
+        part = "volterra kernel k1" if which == "k1" else "fredholm kernel k2"
+        raise ValueError(f"{part} evaluated non-finite at mesh cell (i={i}, j={j})")
 
 
 def k1_table(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     """k1(t_i, s_j, v_j) as a (dim, dim) table, possibly a read-only view.
 
-    Cells outside ``sys.volterra_mask`` hold k1 at the clamped point
-    (s_0, v_0); callers must discard them.
+    Cells outside ``sys.volterra_mask`` hold values from clamped in-domain
+    points, such as k1 at (s_0, v_0); callers must discard them.
     """
-    nodes = sys.scheme.nodes
-    x_table = np.where(sys.volterra_mask, v[None, :], v[0])
-    return _kernel_table(sys.problem.k1(nodes[:, None], sys.s_mesh_volterra, x_table), len(nodes))
+    split = sys.k1_split
+    if split is not None and (vals := _split_table(split, sys.scheme.nodes, v)) is not None:
+        return vals
+    return _kernel_call(sys, "k1", v)
 
 
 def k2_table(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     """k2(t_i, s_j, v_j) as a (dim, dim) table, possibly a read-only view."""
-    nodes = sys.scheme.nodes
-    return _kernel_table(sys.problem.k2(nodes[:, None], nodes[None, :], v[None, :]), len(nodes))
+    split = sys.k2_split
+    if split is not None and (vals := _split_table(split, sys.scheme.nodes, v)) is not None:
+        return vals
+    return _kernel_call(sys, "k2", v)
 
 
 def phi(sys: DiscreteSystem, xi) -> np.ndarray:
@@ -142,10 +260,10 @@ def phi(sys: DiscreteSystem, xi) -> np.ndarray:
     try:
         out = (sys.scheme.volterra_weights * np.where(mask, vals, 0.0)).sum(axis=1)
     except RuntimeWarning:  # numpy's warning about a bad table, raised by -W error
-        _check_kernel_values(vals, mask, "volterra kernel k1")
+        _check_kernel_values(sys, "k1", v, vals)
         raise
     if not np.isfinite(out).all():
-        _check_kernel_values(vals, mask, "volterra kernel k1")
+        _check_kernel_values(sys, "k1", v, vals)
     return out
 
 
@@ -155,10 +273,10 @@ def fred_unchecked(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     try:
         out = vals @ sys.scheme.global_weights
     except RuntimeWarning:  # as in phi
-        _check_kernel_values(vals, None, "fredholm kernel k2")
+        _check_kernel_values(sys, "k2", v, vals)
         raise
     if not np.isfinite(out).all():
-        _check_kernel_values(vals, None, "fredholm kernel k2")
+        _check_kernel_values(sys, "k2", v, vals)
     return out
 
 

@@ -22,6 +22,9 @@ for t, s, x and broadcast together.
 :func:`compile_expression` turns a tree, once, into a function that makes the
 same numpy calls with numpy's floating-point errors raised, checks only its
 result, and re-runs :func:`evaluate` only to name an error.
+:func:`split_terms` finds a form sum_r c_r(t, s) * e_r(s, x) that evaluates
+bit-identically, which lets :mod:`vfsolve.discrete` evaluate the state-free
+factors c_r once per grid.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ __all__ = [
     "parse_expression",
     "evaluate",
     "compile_expression",
+    "split_terms",
     "to_string",
     "variables_used",
 ]
@@ -344,8 +348,9 @@ def evaluate(expr: Expr, t, s, x):
 
     Arguments may be floats or numpy arrays (broadcast together).  Returns a
     float for scalar inputs, an ndarray otherwise.  Never returns NaN or
-    infinity: domain violations raise :class:`EvalDomainError` naming the
-    offending subexpression.
+    infinity: a non-finite value of a variable the expression uses, and
+    domain violations, raise :class:`EvalDomainError` naming the variable or
+    the offending subexpression.
     """
     env = {
         "t": np.asarray(t, dtype=float),
@@ -354,6 +359,12 @@ def evaluate(expr: Expr, t, s, x):
     }
     # the result, and the point set an error counts, take the full input shape
     shape = np.broadcast_shapes(env["t"].shape, env["s"].shape, env["x"].shape)
+    for name in sorted(variables_used(expr), key=VARIABLES.index):
+        if not np.isfinite(env[name]).all():
+            mask = np.broadcast_to(~np.isfinite(env[name]), shape)
+            raise EvalDomainError(
+                f"non-finite input {name} in {_describe(expr)!r}: {_bad_inputs(mask, shape)}"
+            )
 
     def fail(node, why, mask=None):
         detail = f": {_bad_inputs(mask, shape)}" if mask is not None else ""
@@ -453,6 +464,51 @@ def compile_expression(expr: Expr):
         return result if result.shape == shape else np.broadcast_to(result, shape).copy()
 
     return compiled
+
+
+# stands for the factor a term does not have; multiplying by it is exact
+_ONE = Const(1.0)
+
+
+def split_terms(expr: Expr) -> tuple[tuple[Expr, Expr], ...] | None:
+    """Factor ``expr`` as sum_r c_r(t, s) * e_r(s, x), or None if this cannot.
+
+    Returns the pairs (c_r, e_r): c_r does not use x, e_r does not use t.
+    Multiplying each pair and adding the products from left to right makes
+    the floating-point operations of ``expr`` in its own order (multiplying
+    by a stand-in 1.0 and negating are exact), so the sum is bit-identical
+    to ``expr``.  A subtree without x (a constant included) is the term
+    (node, 1) and one without t is (1, node); a product of a factor without
+    x and one without t is one term; ``u + v`` and ``u - v`` append the one
+    term of v to the terms of u; unary minus negates each c_r.  Anything
+    else that mixes t and x is None: a function or power of both
+    (``cos(t*x)``, ``t^x``), a quotient, a product of a mixed factor
+    (``t*x*x``) or a sum in parentheses on the right of + or -.
+    """
+    used = variables_used(expr)
+    if "x" not in used:
+        return ((expr, _ONE),)
+    if "t" not in used:
+        return ((_ONE, expr),)
+    if type(expr) is Neg:
+        terms = split_terms(expr.operand)
+        return None if terms is None else tuple((Neg(c), e) for c, e in terms)
+    if type(expr) is not BinOp:
+        return None
+    if expr.op == "*":
+        left, right = variables_used(expr.left), variables_used(expr.right)
+        if "x" not in left and "t" not in right:
+            return ((expr.left, expr.right),)
+        if "t" not in left and "x" not in right:  # u*v and v*u round alike
+            return ((expr.right, expr.left),)
+        return None
+    if expr.op in "+-":
+        left, right = split_terms(expr.left), split_terms(expr.right)
+        if left is None or right is None or len(right) != 1:
+            return None
+        ((c, e),) = right
+        return left + ((c if expr.op == "+" else Neg(c), e),)
+    return None
 
 
 def variables_used(expr: Expr) -> set[str]:

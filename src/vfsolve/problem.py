@@ -50,6 +50,18 @@ class Problem:
     hold the clamped in-domain point (s_0, xi_0).  Either result is
     broadcast to (dim, dim), so a lower-rank array or a scalar is fine.
     ``g`` and ``exact`` take t alone.
+
+    ``k1_terms``/``k2_terms`` optionally declare a kernel's separable form
+    k(t, s, x) = sum_r c_r(t, s) * e_r(s, x), summed from r = 1 up, as a
+    tuple of pairs (c_r, e_r).  ``c_r(t, s)`` does not depend on the state
+    and ``e_r(s, x)`` not on t; both broadcast their arguments like the
+    kernels.  :func:`vfsolve.discrete.build_system` checks the form against
+    the kernel; a kernel table then costs dim evaluations of each e_r, and
+    k2's c_r are evaluated once per grid.  Written as the kernel's last
+    operations (as :func:`benchmark_problem` does), the form gives
+    bit-identical tables.  The kernel stays the definition and the error
+    path.  Replacing a kernel (``dataclasses.replace``) keeps its terms:
+    replace or clear them too.
     """
 
     a: float
@@ -61,6 +73,8 @@ class Problem:
     L: float
     exact: Optional[Callable] = None
     name: str = "custom"
+    k1_terms: Optional[tuple] = None
+    k2_terms: Optional[tuple] = None
 
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b)) or self.b <= self.a:
@@ -74,7 +88,7 @@ def benchmark_problem() -> Problem:
     """The builtin benchmark: cosine Volterra kernel, linear Fredholm kernel,
     exact solution x(t) = t on [0, 1].
 
-    k1 = 5*t*s*cos(x), k2 = (11/2)*t^2*s^2*x,
+    k1 = 5*t*s*cos(x), k2 = (11/2)*t^2*s^2*x (each one separable term),
     g(t) = (11/8)t^2 - 4t + 5t cos(t) + 5t^2 sin(t),
     M^2 = 25/18, L^2 = 121/100.
     """
@@ -88,6 +102,9 @@ def benchmark_problem() -> Problem:
         L=1.1,
         exact=lambda t: np.asarray(t, dtype=float) * 1.0,
         name="benchmark",
+        # each kernel's own last product: bit-identical tables
+        k1_terms=((lambda t, s: 5.0 * t * s, lambda s, x: np.cos(x)),),
+        k2_terms=((lambda t, s: 5.5 * (t * t) * (s * s), lambda s, x: x),),
     )
 
 
@@ -114,6 +131,18 @@ def _function_of_t(src: str, what: str) -> Callable:
     return lambda t: of_tsx(t, 0.0, 0.0)
 
 
+def _terms(tree: expr.Expr) -> tuple | None:
+    """A kernel tree's separable form (:func:`vfsolve.expr.split_terms`), compiled."""
+    pairs = expr.split_terms(tree)
+    if pairs is None:
+        return None
+    terms = []
+    for c_tree, e_tree in pairs:
+        c, e = expr.compile_expression(c_tree), expr.compile_expression(e_tree)
+        terms.append((lambda t, s, c=c: c(t, s, 0.0), lambda s, x, e=e: e(0.0, s, x)))
+    return tuple(terms)
+
+
 def from_expressions(
     a: float,
     b: float,
@@ -129,13 +158,19 @@ def from_expressions(
 
     Parse errors (with source offsets) propagate from :mod:`vfsolve.expr`.
     The forcing term and the exact solution may only reference t.  Each
-    expression is compiled once (:func:`vfsolve.expr.compile_expression`).
+    expression is compiled once (:func:`vfsolve.expr.compile_expression`),
+    and so is each factor of a kernel's separable form, when it has one.
     """
-    k1 = expr.compile_expression(expr.parse_expression(k1_src))
-    k2 = expr.compile_expression(expr.parse_expression(k2_src))
+    k1_tree = expr.parse_expression(k1_src)
+    k2_tree = expr.parse_expression(k2_src)
     g = _function_of_t(g_src, "forcing term g")
     exact = None if exact_src is None else _function_of_t(exact_src, "exact solution")
-    return Problem(float(a), float(b), k1, k2, g, float(M), float(L), exact, name)
+    return Problem(
+        float(a), float(b),
+        expr.compile_expression(k1_tree), expr.compile_expression(k2_tree),
+        g, float(M), float(L), exact, name,
+        k1_terms=_terms(k1_tree), k2_terms=_terms(k2_tree),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +225,14 @@ def check_assumptions(
     pairs: int = 1000,
     x_box: float | None = None,
     seed: int = DEFAULT_SEED,
+    system=None,
 ) -> AssumptionReport:
     """Audit M, L, and monotonicity on random vector pairs in [-x_box, x_box].
 
     Ratios use the weighted norm of :mod:`vfsolve.discrete`.  Raises on a
-    non-finite kernel evaluation inside the box.
+    non-finite kernel evaluation inside the box.  ``system``, when given, is
+    ``discrete.build_system(problem, scheme)`` already built, and is used
+    instead of building it again.
     """
     from . import discrete  # deferred: discrete type-checks against this module
 
@@ -204,22 +242,25 @@ def check_assumptions(
     if box <= 0 or not np.isfinite(box):
         raise ValueError(f"x_box must be positive and finite, got {box}")
 
-    sys = discrete.build_system(problem, scheme)
+    if system is None:
+        system = discrete.build_system(problem, scheme)
+    elif system.problem is not problem or system.scheme is not scheme:
+        raise ValueError("system was built for another problem or scheme")
     rng = np.random.default_rng(seed)
     f_ratio = 0.0
     mono = np.inf
     phi_ratio = 0.0
     used = 0
     for _ in range(pairs):
-        u = rng.uniform(-box, box, sys.dim)
-        v = rng.uniform(-box, box, sys.dim)
-        dn = discrete.norm(sys, u - v)
+        u = rng.uniform(-box, box, system.dim)
+        v = rng.uniform(-box, box, system.dim)
+        dn = discrete.norm(system, u - v)
         if dn == 0.0:
             continue
-        df = discrete.fred(sys, u) - discrete.fred(sys, v)
-        dp = discrete.phi(sys, u) - discrete.phi(sys, v)
-        f_ratio = max(f_ratio, discrete.norm(sys, df) / dn)
-        mono = min(mono, discrete.inner(sys, df, u - v) / dn**2)
-        phi_ratio = max(phi_ratio, discrete.norm(sys, dp) / dn)
+        df = discrete.fred(system, u) - discrete.fred(system, v)
+        dp = discrete.phi(system, u) - discrete.phi(system, v)
+        f_ratio = max(f_ratio, discrete.norm(system, df) / dn)
+        mono = min(mono, discrete.inner(system, df, u - v) / dn**2)
+        phi_ratio = max(phi_ratio, discrete.norm(system, dp) / dn)
         used += 1
     return AssumptionReport(f_ratio, float(mono), phi_ratio, used, box)

@@ -3,17 +3,20 @@
 End-to-end checks of the whole pipeline — quadrature, discrete system,
 hybrid continuation solver, a-priori bounds, Newton oracle, parser — on the
 builtin benchmark problem (exact solution x(t) = t on [0, 1]).  Heavy solves
-are shared through module-scoped fixtures, so the file runs in about a
-minute; the dominant cost is the doubled-budget continuation run.
+are shared through module-scoped fixtures, so the file runs in about 45 s on
+a 2-CPU x86 host; most of it is the criterion-3 fixture's four continuation
+solves (about 1.58 M maps), and most of those are the doubled-budget run.
 """
 
+import hashlib
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vfsolve import reference
+from vfsolve import cli, reference
 from vfsolve.discrete import build_system, fred, inner, norm, phi, residual
 from vfsolve.expr import BinOp, Call, Const, Neg, Var, evaluate, parse_expression, to_string
 from vfsolve.hybrid import (
@@ -88,6 +91,28 @@ def test_criterion_1_table_reproduction(table_run):
     assert worst_vs_exact <= 2.3e-2, f"max error vs exact {worst_vs_exact:.3e}"
 
     assert elapsed <= 60.0, f"reference run took {elapsed:.1f} s"
+
+
+def _csv_sha256(sys_obj, xi):
+    """sha256 of the solution CSV as ``vfsolve solve`` writes it (precision 10)."""
+    csv = cli._solution_csv(sys_obj.scheme.nodes, xi, sys_obj.problem.exact, 10)
+    return hashlib.sha256(csv.encode()).hexdigest()
+
+
+def test_solution_csv_bytes_are_pinned(table_run):
+    """The reference run and configs/default.ini write the seed's CSV bytes."""
+    sys_obj, sol, _ = table_run
+    assert sol.budget.op_count == 175_615
+    assert _csv_sha256(sys_obj, sol.xi) == (
+        "35f1d52378185d9eab6510b7f185c0ab7fcca7cc53792b98453f6071e7c5fa70"
+    )
+    rc = cli.parse_config(str(Path(__file__).resolve().parents[1] / "configs" / "default.ini"))
+    sys_obj = cli._system(rc)
+    sol = solve(sys_obj, prepare(sys_obj, rc.eps, **rc.overrides))
+    assert sol.budget.op_count == 63_999
+    assert _csv_sha256(sys_obj, sol.xi) == (
+        "f178bf07701b985a7e7b23065bb5eb4dba7014e39fef34c753d1d559cdaed70d"
+    )
 
 
 # -------------------------------------------------------------- criterion 2

@@ -229,6 +229,27 @@ def test_solve_audit_pass_proceeds(tmp_path):
     assert cmd_solve(path, out=out) == EXIT_OK
 
 
+def test_audited_solve_builds_the_system_once(tmp_path, monkeypatch):
+    from vfsolve import discrete
+
+    calls = []
+    build = discrete.build_system
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_system", counted)
+    monkeypatch.setattr(discrete, "build_system", counted)
+    path = write_ini(
+        tmp_path,
+        "[problem]\nbuiltin = benchmark\n[quadrature]\ncells = 20\n"
+        "[solver]\nn0 = 8\naudit = true\n",
+    )
+    assert cmd_solve(path, out=str(tmp_path / "audited.csv")) == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_solver_failure_exits_2(tmp_path, capsys):
     # L = 2 with N pinned at 1 leaves q >= 1: continuation cannot contract
     path = write_ini(

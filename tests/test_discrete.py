@@ -1,11 +1,12 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from vfsolve.discrete import build_system, fred, inner, norm, phi, residual
-from vfsolve.expr import EvalDomainError
+from vfsolve.discrete import build_system, fred, inner, k1_table, k2_table, norm, phi, residual
+from vfsolve.expr import EvalDomainError, parse_expression, split_terms
 from vfsolve.problem import benchmark_problem, from_expressions
 from vfsolve.quadrature import build_scheme, make_grid
 
@@ -225,6 +226,205 @@ def test_domain_error_text_s_only_kernel(which, count):
     with pytest.raises(EvalDomainError) as info:
         (fred if which == "fred" else phi)(sys, np.zeros(11))
     assert str(info.value) == want
+
+
+# ---------------------------------------------------------------------------
+# separable kernels: tables from c_r(t, s) * e_r(s, x), bit-identical
+
+SCHEMES = [
+    ("midpoint", "half_cell"), ("midpoint", "full_cell"), ("trapezoid", None), ("simpson", None)
+]
+
+
+def _scheme(rule, rows, a=0.0, b=1.0, n=10):
+    return build_scheme(make_grid(a, b, n), rule, midpoint_rows=rows or "half_cell")
+
+
+def _without_terms(problem):
+    return dataclasses.replace(problem, k1_terms=None, k2_terms=None)
+
+
+def _same_maps(problem, scheme, states):
+    split, dense = build_system(problem, scheme), build_system(_without_terms(problem), scheme)
+    assert split.k1_split is not None and split.k2_split is not None
+    assert dense.k1_split is None and dense.k2_split is None
+    mask = split.volterra_mask
+    for xi in states:
+        assert np.array_equal(phi(split, xi), phi(dense, xi))
+        assert np.array_equal(fred(split, xi), fred(dense, xi))
+        assert np.array_equal(k2_table(split, xi), k2_table(dense, xi))
+        assert np.array_equal(k1_table(split, xi)[mask], k1_table(dense, xi)[mask])
+
+
+@pytest.mark.parametrize("rule, rows", SCHEMES)
+def test_builtin_split_maps_are_bit_identical(rule, rows):
+    scheme = _scheme(rule, rows)
+    rng = np.random.default_rng(41)
+    _same_maps(benchmark_problem(), scheme, rng.uniform(-4.0, 4.0, size=(5, scheme.dim)))
+
+
+# corpus kernels that split, finite on [0.1, 2] for states in [0.1, 2]
+SPLIT_KERNELS = [
+    "t + s*x", "t - s - x", "t^2 + s^2", "-t*s + x", "sin(t)*cos(s) + tan(x/4)",
+    "exp(-t) + ln(t)", "sqrt(t*s) + abs(-x)", "pi*t + e", "(t+s)*(t-s)",
+    "5*t*s*cos(x)", "11/2*t^2*s^2*x", "t^0.5 * x^3", "abs(t-s)^2 + sqrt(abs(s-x))",
+    "-(t/2)*sin(x)", "x*t", "-(t*x + s)", "2*pi - 1", "sqrt(t - s)*x",
+]
+
+
+@pytest.mark.parametrize("rule, rows", SCHEMES)
+def test_expression_split_maps_are_bit_identical(rule, rows):
+    scheme = _scheme(rule, rows, a=0.1, b=2.0)
+    states = np.random.default_rng(42).uniform(0.1, 2.0, size=(3, scheme.dim))
+    for src in SPLIT_KERNELS:
+        assert split_terms(parse_expression(src)) is not None, src
+        # sqrt(t - s) is real only for s <= t: k1's table never leaves the triangle
+        k2 = "0" if src == "sqrt(t - s)*x" else src
+        problem = from_expressions(0.1, 2.0, k1_src=src, k2_src=k2, g_src="t", M=1.0, L=1.0)
+        _same_maps(problem, scheme, states)
+
+
+def test_unsplit_expression_keeps_the_kernel():
+    sys_ = _system(k1="cos(t*x)", k2="t*x*x")
+    assert sys_.problem.k1_terms is None and sys_.problem.k2_terms is None
+    assert sys_.k1_split is None and sys_.k2_split is None
+
+
+def _split_problem(k2, e, g=lambda t: 0.0 * t):
+    p = benchmark_problem()
+    return type(p)(
+        a=0.0, b=1.0, k1=p.k1, k2=k2, g=g, M=p.M, L=p.L,
+        k1_terms=p.k1_terms, k2_terms=((lambda t, s: t, e),),
+    )
+
+
+def _error_text(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_split_domain_error_is_the_kernels():
+    # e = ln(x) raises on its row; the kernel's table names its own point
+    sys_ = _system(k2="t*ln(x)", g="1 + t")
+    assert sys_.k2_split is not None
+    xi = np.linspace(-1.0, 1.0, 10)
+    dense = build_system(_without_terms(sys_.problem), sys_.scheme)
+    want = (
+        EvalDomainError,
+        "ln of a non-positive value in 'ln(x)': 50 offending input point(s), "
+        "first at index (0, 0)",
+    )
+    assert _error_text(fred, sys_, xi) == want
+    assert _error_text(fred, dense, xi) == want
+
+
+@pytest.mark.parametrize("warnings_as_errors", [False, True])
+def test_split_product_overflow_is_the_kernels_error(warnings_as_errors):
+    # finite factors whose product overflows: the compiled kernel raises on it
+    sys_ = _system(k2="exp(700*t)*exp(700*x)", g="0")
+    assert sys_.k2_split is not None
+    want = (
+        EvalDomainError,
+        "non-finite result (overflow) in '(exp((700.0 * t)) * exp((700.0 * x)))': "
+        "49 offending input point(s), first at index (0, 9)",
+    )
+    xi = np.linspace(0.0, 1.0, 10)
+    dense = build_system(_without_terms(sys_.problem), sys_.scheme)
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        if warnings_as_errors:
+            warnings.simplefilter("error")
+        assert _error_text(fred, sys_, xi) == want
+        assert _error_text(fred, dense, xi) == want
+
+
+def test_split_infinite_factor_names_the_kernels_cell():
+    e = lambda s, x: np.where(x > 0.5, np.inf, x)
+    prob = _split_problem(lambda t, s, x: t * np.where(x > 0.5, np.inf, x), e)
+    sys_ = build_system(prob, build_scheme(make_grid(0.0, 1.0, 10), "midpoint"))
+    assert sys_.k2_split is not None
+    xi = np.linspace(0.0, 1.0, 10)
+    dense = build_system(_without_terms(prob), sys_.scheme)
+    want = (ValueError, "fredholm kernel k2 evaluated non-finite at mesh cell (i=0, j=5)")
+    assert _error_text(fred, sys_, xi) == want
+    assert _error_text(fred, dense, xi) == want
+
+
+@pytest.mark.parametrize(
+    "which, want",
+    [
+        ("phi", "volterra kernel k1 evaluated non-finite at mesh cell (i=0, j=0)"),
+        ("fred", "fredholm kernel k2 evaluated non-finite at mesh cell (i=0, j=0)"),
+    ],
+)
+def test_split_mixed_infinite_factor_under_warnings_as_errors(which, want):
+    def bad(t, s, x):
+        return np.where(s > 0.5, np.inf, -np.inf) * t
+
+    terms = ((lambda t, s: t, lambda s, x: np.where(s > 0.5, np.inf, -np.inf)),)
+    p = benchmark_problem()
+    prob = type(p)(
+        a=0.0, b=1.0, k1=bad, k2=bad, g=p.g, M=p.M, L=p.L, k1_terms=terms, k2_terms=terms
+    )
+    sys_ = build_system(prob, build_scheme(make_grid(0.0, 1.0, 10), "midpoint"))
+    assert sys_.k1_split is not None and sys_.k2_split is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _error_text(phi if which == "phi" else fred, sys_, np.zeros(sys_.dim))
+    assert got == (ValueError, want)
+
+
+def test_stale_terms_raise_at_build():
+    stale = dataclasses.replace(benchmark_problem(), k2=lambda t, s, x: 0.1 * t * s * x)
+    with pytest.raises(ValueError) as info:
+        build_system(stale, build_scheme(make_grid(0.0, 1.0, 10), "midpoint"))
+    # the first check point (t_0, s_0 = t_9, g(t_0))
+    assert str(info.value) == (
+        "k2_terms do not match k2 at (t, s, x) = (0.05, 0.9500000000000001, "
+        "0.05374980471462505): 0.0006670014828805504 from the terms, "
+        "0.0002553115723944691 from the kernel"
+    )
+
+
+def test_rounding_difference_is_accepted():
+    # a form that rounds differently from its kernel, within 1e-12, is used
+    p = benchmark_problem()
+    terms = ((lambda t, s: 5.5 * (t * t), lambda s, x: (s * s) * x),)
+    prob = dataclasses.replace(p, k2_terms=terms)
+    sys_ = build_system(prob, build_scheme(make_grid(0.0, 1.0, 50), "midpoint"))
+    xi = np.linspace(-1.0, 1.0, 50)
+    want = fred(build_system(_without_terms(prob), sys_.scheme), xi)
+    assert np.max(np.abs(fred(sys_, xi) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_raising_factor_keeps_the_kernel_and_its_first_error():
+    # c = ln(t) raises at the trapezoid's t = 0: the kernel serves alone
+    sys_ = _system(k2="ln(t)*x", rule="trapezoid")
+    assert sys_.problem.k2_terms is not None and sys_.k2_terms is None and sys_.k2_split is None
+    want = (
+        EvalDomainError,
+        "ln of a non-positive value in 'ln(t)': 11 offending input point(s), "
+        "first at index (0, 0)",
+    )
+    assert _error_text(fred, sys_, np.zeros(11)) == want
+
+
+def test_split_calls_the_kernels_only_to_check_them():
+    calls = {"k1": 0, "k2": 0}
+
+    def counted(name, fn):
+        def kernel(t, s, x):
+            calls[name] += 1
+            return fn(t, s, x)
+        return kernel
+
+    bp = benchmark_problem()
+    prob = dataclasses.replace(bp, k1=counted("k1", bp.k1), k2=counted("k2", bp.k2))
+    sys_ = build_system(prob, build_scheme(make_grid(0.0, 1.0, 10), "trapezoid"))
+    assert calls == {"k1": 1, "k2": 1}
+    for xi in np.random.default_rng(43).uniform(-2.0, 2.0, size=(5, 11)):
+        residual(sys_, xi)
+    assert calls == {"k1": 1, "k2": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from vfsolve.expr import (
     compile_expression,
     evaluate,
     parse_expression,
+    split_terms,
     to_string,
     tokenize,
     variables_used,
@@ -298,6 +299,10 @@ DOMAIN_ERRORS = [
     ("1/exp(1000*t)", np.linspace(0.0, 1.0, 7)),
     ("exp(-exp(1000*t))", 1.0),
     ("2*t", np.inf),  # no floating-point error: only the result check sees it
+    ("t", np.inf),  # non-finite inputs: the variable is named, not an overflow
+    ("-t", np.inf),
+    ("abs(t)", np.nan),
+    ("t*1", np.inf),
 ]
 
 
@@ -309,6 +314,25 @@ def test_compiled_domain_error_text_matches_evaluate(source, t):
     with pytest.raises(EvalDomainError) as compiled:
         compile_expression(tree)(t, 0.5, 0.5)
     assert str(compiled.value) == str(checked.value)
+
+
+def test_nonfinite_input_names_the_variable():
+    with pytest.raises(EvalDomainError) as info:
+        evaluate(parse_expression("-t"), np.array([0.0, np.inf, -np.inf]), 0.0, 0.0)
+    assert str(info.value) == (
+        "non-finite input t in '(-t)': 2 offending input point(s), first at index (1,)"
+    )
+    with pytest.raises(EvalDomainError) as info:
+        evaluate(parse_expression("t*1"), np.inf, 0.0, 0.0)
+    assert str(info.value) == "non-finite input t in '(t * 1.0)': scalar input"
+    # a scalar input counts every point of the broadcast shape
+    with pytest.raises(EvalDomainError) as info:
+        evaluate(parse_expression("s*x"), 0.0, np.nan, np.ones(3))
+    assert str(info.value) == (
+        "non-finite input s in '(s * x)': 3 offending input point(s), first at index (0,)"
+    )
+    # a variable the expression does not use may be anything
+    assert evaluate(parse_expression("x"), np.inf, np.nan, 0.5) == 0.5
 
 
 def test_compiled_intermediate_overflow_with_finite_result_raises():
@@ -398,3 +422,75 @@ def test_variables_used():
     assert variables_used(parse_expression("5*t*s*cos(x)")) == {"t", "s", "x"}
     assert variables_used(parse_expression("sin(t)+1")) == {"t"}
     assert variables_used(parse_expression("pi")) == set()
+
+
+# ---------------------------------------------------------------------------
+# separable forms: sum_r c_r(t, s) * e_r(s, x), bit-identical to the tree
+
+# (source, [(c_r, e_r) as source text]); "1" is the stand-in factor
+SPLITS = [
+    ("5*t*s*cos(x)", [("5*t*s", "cos(x)")]),
+    ("(11/2)*t^2*s^2*x", [("(11/2)*t^2*s^2", "x")]),
+    ("t*s + x", [("t*s", "1"), ("1", "x")]),
+    ("-(t/2)*sin(x)", [("-(t/2)", "sin(x)")]),
+    ("x*t", [("t", "x")]),
+    ("t - s*x", [("t", "1"), ("-1", "s*x")]),
+    ("-(t*x + s)", [("-t", "x"), ("-s", "1")]),
+    ("2*pi - 1", [("2*pi - 1", "1")]),
+    ("0", [("0", "1")]),
+    ("x", [("1", "x")]),
+    ("t*s", [("t*s", "1")]),
+    ("t^0.5 * x^3", [("t^0.5", "x^3")]),
+    ("sin(t)*cos(s) + tan(x/4)", [("sin(t)*cos(s)", "1"), ("1", "tan(x/4)")]),
+]
+
+# mixed in a way whose operations no sum of products can repeat exactly
+UNSPLIT = [
+    "cos(t*x)",
+    "t^x",
+    "(t+s)*(t+x)",
+    "s*x/t",  # a quotient, not a product
+    "t*x*x",  # ((t*x)*x): the factor t*x mixes t and x
+    "t + (s*x + t*x)",  # a sum in parentheses on the right
+    "t*s/x",
+    "abs(t-x)",
+]
+
+
+def _src(tree):
+    return to_string(tree)
+
+
+@pytest.mark.parametrize("source, terms", SPLITS, ids=[s for s, _ in SPLITS])
+def test_split_terms_table(source, terms):
+    got = split_terms(parse_expression(source))
+    want = [(_src(parse_expression(c)), _src(parse_expression(e))) for c, e in terms]
+    assert [(_src(c), _src(e)) for c, e in got] == want
+    for c, e in got:
+        assert "x" not in variables_used(c) and "t" not in variables_used(e)
+
+
+@pytest.mark.parametrize("source", UNSPLIT)
+def test_split_terms_leaves_mixed_trees_alone(source):
+    assert split_terms(parse_expression(source)) is None
+
+
+def test_split_terms_sum_is_bit_identical():
+    # every corpus and table entry that splits: c_r * e_r summed from the left
+    # makes the tree's own floating-point operations
+    rng = np.random.default_rng(34)
+    t, s, x = rng.uniform(0.1, 2.0, size=(3, 200))
+    sources = [src for src, _ in CORPUS] + [src for src, _ in SPLITS]
+    split = 0
+    for source in sources:
+        tree = parse_expression(source)
+        terms = split_terms(tree)
+        if terms is None:
+            continue
+        split += 1
+        total = None
+        for c, e in terms:
+            part = evaluate(c, t, s, x) * evaluate(e, t, s, x)
+            total = part if total is None else total + part
+        assert np.array_equal(total, evaluate(tree, t, s, x)), source
+    assert split == 31  # all but t*s/x and t/s/x of the corpus

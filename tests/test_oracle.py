@@ -125,7 +125,10 @@ def test_jacobian_calls_each_kernel_twice():
 
     bp = benchmark_problem()
     k1 = lambda t, s, x: np.where(t == 0.0, np.inf, bp.k1(t, s, x))
-    prob = dataclasses.replace(bp, k1=counted("k1", k1), k2=counted("k2", bp.k2))
+    # new kernels, so no separable forms: the kernels build every table
+    prob = dataclasses.replace(
+        bp, k1=counted("k1", k1), k2=counted("k2", bp.k2), k1_terms=None, k2_terms=None
+    )
     sys_ = _benchmark_system(10, "trapezoid", prob=prob)
     with pytest.raises(NewtonError, match="within 1 iterations"):
         newton_solve(sys_, NewtonConfig(max_iter=1, residual_tol=1e-300))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vfsolve.discrete import build_system
 from vfsolve.expr import ParseError, TokenizeError
 from vfsolve.problem import (
     benchmark_problem,
@@ -54,6 +55,18 @@ def test_from_expressions_matches_builtin():
         assert built.k2(t, s, x) == pytest.approx(ref.k2(t, s, x), rel=1e-12, abs=1e-15)
         assert built.g(t) == pytest.approx(ref.g(t), rel=1e-12, abs=1e-15)
         assert built.exact(t) == pytest.approx(t, rel=1e-12, abs=0)
+
+
+def test_separable_forms_reproduce_the_kernels():
+    # the builtin's hand-written forms and the split expression forms
+    t, s, x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(3, 60))
+    built = from_expressions(0.0, 1.0, M=np.sqrt(25 / 18), L=1.1, **BENCH_SOURCES)
+    for p in (benchmark_problem(), built):
+        for kernel, terms in ((p.k1, p.k1_terms), (p.k2, p.k2_terms)):
+            ((c, e),) = terms
+            assert np.array_equal(c(t, s) * e(s, x), kernel(t, s, x))
+    mixed = from_expressions(0.0, 1.0, "cos(t*x)", "t*x + s", "t", M=1.0, L=1.0)
+    assert mixed.k1_terms is None and len(mixed.k2_terms) == 2
 
 
 def test_from_expressions_parse_errors_carry_offsets():
@@ -123,6 +136,16 @@ def test_check_assumptions_seed_reproducible(scheme):
     a = check_assumptions(benchmark_problem(), scheme, pairs=150, seed=7)
     b = check_assumptions(benchmark_problem(), scheme, pairs=150, seed=7)
     assert a == b
+
+
+def test_check_assumptions_uses_a_given_system(scheme):
+    p = benchmark_problem()
+    system = build_system(p, scheme)
+    assert check_assumptions(p, scheme, pairs=150, seed=7, system=system) == check_assumptions(
+        p, scheme, pairs=150, seed=7
+    )
+    with pytest.raises(ValueError, match="another problem or scheme"):
+        check_assumptions(benchmark_problem(), scheme, pairs=150, system=system)
 
 
 def test_check_assumptions_nonfinite_kernel_raises(scheme):
