@@ -202,6 +202,10 @@ def parse_config(path: str) -> RunConfig:
             rc.audit = _convert("solver", "audit", sol["audit"], bool)
         if "seed" in sol:
             rc.seed = _convert("solver", "seed", sol["seed"], int)
+            if rc.seed < 0:
+                raise ConfigError(
+                    f"field 'seed' in [solver] must be nonnegative, got {rc.seed}"
+                )
 
     if "output" in cp:
         out = cp["output"]

@@ -1,15 +1,15 @@
 """Parameter continuation for the monotone equation xi + F(xi) = z.
 
 The map P(xi) = xi + F(xi) with F monotone and L-Lipschitz is inverted by
-splitting the identity coefficient into N sub-steps of size eps0 = 1/N, so
-each partial map G_k(x) = x + k*eps0*F(x) satisfies q = L*eps0 < 1 and can be
-inverted by a plain fixed-point iteration.  Inverting the chain
+splitting the identity coefficient into N sub-steps of size eps0 = 1/N.  With
+P_k(x) = x + k*eps0*F(x) and P_0 = I, so that P = P_N, level k solves
 
-    P = G_N o G_{N-1}^{-1}-composable pieces, x = G_1^{-1}(G_2^{-1}(...(y)))
+    u = y - eps0*F(P_{k-1}^{-1}(u))
 
-needs one fixed-point loop per level, each step of which re-solves every
-lower level from scratch; with n0 steps per level a full :func:`p_inverse`
-therefore costs exactly (n0+1)^N - 1 evaluations of F.  No memoization is
+by n0 fixed-point steps from u = y, each a contraction by q = L*eps0 < 1, and
+then P_k^{-1}(y) = P_{k-1}^{-1}(u).  Every step re-solves all lower levels
+from scratch, so with n0 steps per level a full :func:`p_inverse` costs
+exactly (n0+1)^N - 1 evaluations of F.  No memoization is
 performed — the complexity accounting of the surrounding solver assumes the
 recomputation, and correctness does not (each inner solve is started fresh
 from its own target).
@@ -65,11 +65,6 @@ class ContinuationConfig:
     def eps0(self) -> float:
         """Sub-step size 1/N."""
         return 1.0 / self.N
-
-    @classmethod
-    def for_lipschitz(cls, L: float, N: int, n0: int) -> "ContinuationConfig":
-        """Config for an F with Lipschitz constant L, split into N sub-steps."""
-        return cls(N=N, q=L / N, n0=n0)
 
 
 def _step(F, w, target, cfg, level, k, on_step):

@@ -14,13 +14,13 @@ so the iteration error after n0 = m*d + h0 steps is at most (C1 + C2)*beta^d
 evaluations, counted exactly by the configuration's operation tally.
 
 :func:`derive_params` turns declared constants (M, L, ||g1||, eps) into the
-full parameter set; individual values can be overridden (the dependent
-quantities are recomputed) to reproduce a pinned parameter choice exactly.
+counts N, m, n_prime and n0; any count can be pinned instead to reproduce a
+parameter choice exactly, and :class:`SolverParams` derives the rest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import math
@@ -50,48 +50,80 @@ D_CAP = 10**6
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Derived constants of one solver run.
+    """What one solver run is chosen from, and the constants it derives.
 
-    n0 = m*d + h0 always holds; beta = max(q^m, alpha) is the effective
-    per-d contraction factor of the error bound (C1 + C2)*beta^d.
+    Stored: the declared M, L, g_norm = ||g1|| and eps, and the counts N, m,
+    n_prime and n0.  Derived, read-only: q, alpha, gamma, the split
+    n0 = m*d + h0 (0 <= h0 < m), C_m, C_nprime, C1, C2, and beta, the
+    per-d contraction factor of the error bound (C1 + C2)*beta^d.  Raises
+    ValueError for a bad declared value, a count below 1 (``need n0 >= 1,
+    got 0``), or q, alpha or gamma >= 1, in that order.
     """
 
-    N: int
-    q: float
-    m: int
-    alpha: float
-    n_prime: int
-    gamma: float
-    d: int
-    h0: int
-    n0: int
-    C_nprime: float
-    C_m: float
-    C1: float
-    C2: float
-    beta: float
+    M: float
+    L: float
     g_norm: float
     eps: float
+    N: int
+    m: int
+    n_prime: int
+    n0: int
 
     def __post_init__(self):
-        if self.N < 1 or self.m < 1 or self.n_prime < 1:
-            raise ValueError("N, m, n_prime must be positive integers")
-        for label, value in (
-            ("q", self.q), ("alpha", self.alpha),
-            ("gamma", self.gamma), ("beta", self.beta),
-        ):
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{label} must lie in [0, 1), got {value}")
-        if not 0 <= self.h0 < self.m:
-            raise ValueError(f"h0 must lie in [0, m), got h0={self.h0}, m={self.m}")
-        if self.n0 != self.m * self.d + self.h0:
-            raise ValueError(
-                f"inconsistent split: n0={self.n0} != m*d+h0={self.m * self.d + self.h0}"
-            )
-        if self.n0 < 1:
-            raise ValueError(f"need n0 >= 1, got {self.n0}")
-        if self.eps <= 0 or self.g_norm < 0:
-            raise ValueError("need eps > 0 and g_norm >= 0")
+        _check_declared(self.M, self.L)
+        if not self.eps > 0:
+            raise ValueError(f"need eps > 0, got {self.eps}")
+        if not self.g_norm >= 0:
+            raise ValueError(f"need g_norm >= 0, got {self.g_norm}")
+        for name in ("N", "m", "n_prime", "n0"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"need {name} >= 1, got {getattr(self, name)}")
+        if self.q >= 1.0:
+            raise ValueError(f"N={self.N} gives q={self.q} >= 1; need a finer split")
+        if self.alpha >= 1.0:
+            raise ValueError(f"m={self.m} gives alpha={self.alpha} >= 1; increase m")
+        if self.gamma >= 1.0:
+            raise ValueError(f"n_prime={self.n_prime} gives gamma={self.gamma} >= 1")
+        iteration_bound(self)  # C_nprime and growth(q, N) may overflow: raise now
+
+    @property
+    def q(self) -> float:
+        return self.L / self.N
+    @property
+    def alpha(self) -> float:
+        return _power_coeff(self.M, self.m)
+    @property
+    def gamma(self) -> float:
+        return self.M / math.sqrt(self.n_prime)
+    @property
+    def beta(self) -> float:
+        return max(self.q**self.m, self.alpha)
+    @property
+    def d(self) -> int:
+        return self.n0 // self.m
+    @property
+    def h0(self) -> int:
+        return self.n0 % self.m
+    @property
+    def C_m(self) -> float:
+        return sum(_power_coeff(self.M, k) for k in range(1, self.m + 1))
+
+    @property
+    def C_nprime(self) -> float:
+        return (
+            (self.gamma / (1.0 - self.gamma)) * _power_coeff(self.M, self.n_prime)
+            + sum(_power_coeff(self.M, k) for k in range(1, self.n_prime + 1))
+            + 1.0
+        )
+
+    @property
+    def C1(self) -> float:
+        q, growth = self.q, continuation.growth(self.q, self.N)
+        return (1.0 + self.M) * (q / (1.0 - q)) * growth * self.C_nprime * self.g_norm
+
+    @property
+    def C2(self) -> float:
+        return self.C_m / (1.0 - self.alpha) * self.g_norm
 
 
 @dataclass(frozen=True)
@@ -132,6 +164,11 @@ def _power_coeff(M: float, k: int) -> float:
         ) from None
 
 
+def _check_declared(M: float, L: float) -> None:
+    if not (np.isfinite(M) and M >= 0) or not (np.isfinite(L) and L >= 0):
+        raise ValueError(f"M and L must be finite and nonnegative, got M={M}, L={L}")
+
+
 def derive_params(
     M: float,
     L: float,
@@ -147,76 +184,40 @@ def derive_params(
     Defaults: N is the smallest split with q = L/N < 1; n_prime the smallest
     with gamma = M/sqrt(n_prime) <= 1/2; m the smallest >= 2 with
     alpha = M^m/sqrt((m-1)!) <= 0.1; d the smallest with (C1+C2)*beta^d <= eps
-    (capped at D_CAP); h0 = m-1 and n0 = m*d + h0.  Any of N, m, n_prime, n0
-    may be pinned instead, in which case the dependent values are recomputed
-    (pinning n0 sets d = n0 // m, h0 = n0 % m).  The sums need
-    M^k/sqrt((k-1)!) for k up to max(m, n_prime), which overflows a float at
-    k = 172, so a derived n_prime caps M at sqrt(171)/2 ≈ 6.538; a larger M
-    raises ValueError.
+    (capped at D_CAP) and n0 = m*d + m - 1.  Any of N, m, n_prime, n0 may be
+    pinned instead; the derived constants follow from the counts (a pinned
+    n0 gives d = n0 // m, h0 = n0 % m).  The sums need M^k/sqrt((k-1)!) for
+    k up to max(m, n_prime), which overflows a float at k = 172, so a derived
+    n_prime caps M at sqrt(171)/2 ≈ 6.538; a larger M raises ValueError.
     """
-    if not (np.isfinite(M) and M >= 0) or not (np.isfinite(L) and L >= 0):
-        raise ValueError(f"M and L must be finite and nonnegative, got M={M}, L={L}")
-    if not eps > 0:
-        raise ValueError(f"need eps > 0, got {eps}")
-    if not g_norm >= 0:
-        raise ValueError(f"need g_norm >= 0, got {g_norm}")
-
+    _check_declared(M, L)  # floor(L) and the n_prime search need finite values
     if N is None:
         N = math.floor(L) + 1
-    q = L / N
-    if q >= 1.0:
-        raise ValueError(f"N={N} gives q={q} >= 1; need a finer split")
-
     # m first: its search overflows (and raises) within about 170 steps for a
     # large M, while the n_prime search would take about 4*M^2 steps
     if m is None:
         m = 2
         while _power_coeff(M, m) > 0.1:
             m += 1
-    alpha = _power_coeff(M, m)
-    if alpha >= 1.0:
-        raise ValueError(f"m={m} gives alpha={alpha} >= 1; increase m")
-
     if n_prime is None:
         n_prime = 1
         while M / math.sqrt(n_prime) > 0.5:
             n_prime += 1
-    gamma = M / math.sqrt(n_prime)
-    if gamma >= 1.0:
-        raise ValueError(f"n_prime={n_prime} gives gamma={gamma} >= 1")
 
-    C_m = sum(_power_coeff(M, k) for k in range(1, m + 1))
-    C_nprime = (
-        (gamma / (1.0 - gamma)) * _power_coeff(M, n_prime)
-        + sum(_power_coeff(M, k) for k in range(1, n_prime + 1))
-        + 1.0
-    )
-    C1 = (1.0 + M) * (q / (1.0 - q)) * continuation.growth(q, N) * C_nprime * g_norm
-    C2 = C_m / (1.0 - alpha) * g_norm
-    beta = max(q**m, alpha)
-
+    # C1, C2 and beta do not depend on n0, so a provisional n0 = m serves the d search
+    params = SolverParams(M, L, g_norm, eps, N, m, n_prime, m if n0 is None else n0)
     if n0 is not None:
-        if n0 < 1:
-            raise ValueError(f"need n0 >= 1, got {n0}")
-        d, h0 = divmod(n0, m)
-    else:
-        d, value = 0, C1 + C2
-        while value > eps:
-            d += 1
-            value *= beta
-            if d > D_CAP:
-                raise ValueError(
-                    f"tolerance eps={eps} needs more than {D_CAP} contraction "
-                    "blocks; loosen eps"
-                )
-        h0 = m - 1
-        n0 = m * d + h0
-
-    return SolverParams(
-        N=N, q=q, m=m, alpha=alpha, n_prime=n_prime, gamma=gamma,
-        d=d, h0=h0, n0=n0, C_nprime=C_nprime, C_m=C_m, C1=C1, C2=C2,
-        beta=beta, g_norm=g_norm, eps=eps,
-    )
+        return params
+    d, value, beta = 0, params.C1 + params.C2, params.beta
+    while value > eps:
+        d += 1
+        value *= beta
+        if d > D_CAP:
+            raise ValueError(
+                f"tolerance eps={eps} needs more than {D_CAP} contraction "
+                "blocks; loosen eps"
+            )
+    return replace(params, n0=m * d + m - 1)
 
 
 def iteration_bound(params: SolverParams) -> float:
@@ -299,9 +300,10 @@ def solve(
     def F1(v):
         return discrete.fred_unchecked(sys, v) - f0
 
-    cfg = ContinuationConfig.for_lipschitz(sys.problem.L, params.N, params.n0)
+    cfg = ContinuationConfig(params.N, params.q, params.n0)
     outer_ops = 0
     z = g1.copy()
+    z_norm = g1_norm  # the largest target norm; the inner bound scales with it
     if outer_callback is not None:
         outer_callback(0, z.copy())
     for t in range(params.n0):
@@ -310,13 +312,14 @@ def solve(
         outer_ops += 1
         if not np.isfinite(z).all():
             raise SolverError(f"non-finite outer iterate at step {t + 1}")
+        z_norm = max(z_norm, discrete.norm(sys, z))
         if outer_callback is not None:
             outer_callback(t + 1, z.copy())
     xi = continuation.p_inverse(F1, z, cfg)
 
     budget = ErrorBudget(
         iteration_bound=iteration_bound(params),
-        inner_bound_value=continuation.inner_bound(cfg, g1_norm),
+        inner_bound_value=continuation.inner_bound(cfg, z_norm),
         discretization_note=(
             f"quadrature truncation error not included: O(h^{sys.scheme.order}) "
             f"for the {sys.scheme.rule} rule, vanishing as the grid is refined"

@@ -127,6 +127,18 @@ def test_non_numeric_field_rejected(tmp_path):
         parse_config(path)
 
 
+def test_negative_seed_is_config_error_in_every_command(tmp_path, capsys):
+    for audit in ("true", "false"):
+        path = write_ini(tmp_path, MINIMAL + f"[solver]\nseed = -1\naudit = {audit}\n")
+        for cmd in (cmd_solve, cmd_bound):
+            assert cmd(path) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "config error: field 'seed' in [solver] must be nonnegative, got -1\n"
+            )
+
+
 def test_volterra_rows_requires_midpoint(tmp_path):
     path = write_ini(
         tmp_path, MINIMAL + "[quadrature]\nrule = trapezoid\nvolterra_rows = full_cell\n"
@@ -339,6 +351,19 @@ def test_large_M_fails_derivation_in_bound_and_solve(tmp_path, capsys, M, k):
     assert capsys.readouterr().err == "solver failure: " + why
 
 
+@pytest.mark.parametrize("key", ["N", "m", "n_prime"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_count_below_one_fails_derivation_in_bound_and_solve(tmp_path, capsys, key, value):
+    path = write_ini(
+        tmp_path, MINIMAL + f"[quadrature]\ncells = 10\n[solver]\n{key} = {value}\n"
+    )
+    why = f"need {key} >= 1, got {value}\n"
+    assert cmd_bound(path) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: " + why
+    assert cmd_solve(path) == EXIT_SOLVER
+    assert capsys.readouterr().err == "solver failure: " + why
+
+
 # ---------------------------------------------------------------- bound
 
 def test_bound_reference_prints_pinned_params(capsys):
@@ -352,6 +377,24 @@ def test_bound_reference_prints_pinned_params(capsys):
     assert printed["op_budget"] == "175616"
     assert float(printed["iteration_bound"]) < 1e-3
     assert float(printed["iteration_bound_fine"]) <= float(printed["iteration_bound"])
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("reference.ini", "32621557e35cd6dd12501920105e334132b45dc6a12f00c8af16f0f18285f599"),
+    ("default.ini", "7ce442fc710e4e3d365afd8e01f4a9e71a5e84c892cd7ddb1c222b78e7becd6c"),
+])
+def test_bound_output_bytes_are_pinned(capsys, name, digest):
+    assert cmd_bound(str(CONFIGS / name)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_expr_audit_config_bounds_like_default(capsys):
+    # the benchmark's expression workload rests on deriving default.ini's params
+    assert cmd_bound(str(CONFIGS / "default.ini")) == EXIT_OK
+    default = capsys.readouterr().out
+    assert cmd_bound(str(CONFIGS.parent / "bench" / "configs" / "expr_audit.ini")) == EXIT_OK
+    assert capsys.readouterr().out == default
 
 
 def test_bound_depth_monotone_in_eps(tmp_path, capsys):

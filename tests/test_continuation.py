@@ -16,7 +16,7 @@ from vfsolve.quadrature import build_scheme, make_grid
 
 
 def _cfg(L, N, n0):
-    return ContinuationConfig.for_lipschitz(L, N, n0)
+    return ContinuationConfig(N=N, q=L / N, n0=n0)
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from vfsolve.continuation import SolverError
-from vfsolve.discrete import build_system, norm, phi, residual
+from vfsolve.continuation import ContinuationConfig, SolverError, inner_bound, p_inverse
+from vfsolve.discrete import build_system, fred, norm, phi, residual
 from vfsolve.hybrid import (
     ErrorBudget,
     SolverParams,
@@ -118,6 +119,9 @@ def test_derive_params_large_M_raises_at_once():
     assert derive_params(limit, 0.5, 1.0, 1e-3).n_prime == 171
     with pytest.raises(ValueError, match="overflows a float at k=172"):
         derive_params(limit * (1 + 1e-12), 0.5, 1.0, 1e-3)
+    # with n0 pinned nothing searches for d, and C_nprime still raises at once
+    with pytest.raises(ValueError, match="overflows a float at k=172"):
+        derive_params(limit * (1 + 1e-12), 0.5, 1.0, 1e-3, n0=55)
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +161,13 @@ def test_fine_bound_never_exceeds_coarse():
 def test_op_budget_values():
     p = derive_params(M_BENCH, L_BENCH, G1_NORM, 1e-3, n0=55)
     assert op_budget(p) == 56**3 == 175616
-    tiny = SolverParams(
-        N=1, q=0.5, m=1, alpha=0.5, n_prime=1, gamma=0.5, d=1, h0=0, n0=1,
-        C_nprime=1.0, C_m=1.0, C1=0.0, C2=0.0, beta=0.5, g_norm=1.0, eps=1.0,
-    )
+    tiny = SolverParams(M=0.5, L=0.5, g_norm=1.0, eps=1.0, N=1, m=1, n_prime=1, n0=1)
     assert op_budget(tiny) == 4
 
 
 def test_fixed_point_error():
-    p = SolverParams(
-        N=1, q=0.5, m=1, alpha=0.5, n_prime=1, gamma=0.5, d=3, h0=0, n0=3,
-        C_nprime=1.0, C_m=1.0, C1=0.0, C2=0.0, beta=0.5, g_norm=1.0, eps=1.0,
-    )
+    p = SolverParams(M=0.5, L=0.5, g_norm=1.0, eps=1.0, N=1, m=1, n_prime=1, n0=3)
+    assert (p.q, p.alpha, p.gamma, p.d, p.h0) == (0.5, 0.5, 0.5, 3, 0)
     assert fixed_point_error(p, 3, 1.0) == pytest.approx(0.25)
     assert fixed_point_error(p, 3, 0.0) == 0.0
     assert fixed_point_error(p, 4, 1.0) < fixed_point_error(p, 3, 1.0)
@@ -177,16 +176,28 @@ def test_fixed_point_error():
 
 
 def test_solver_params_validation():
-    with pytest.raises(ValueError, match="inconsistent split"):
-        SolverParams(
-            N=1, q=0.5, m=3, alpha=0.1, n_prime=1, gamma=0.5, d=2, h0=1, n0=9,
-            C_nprime=1.0, C_m=1.0, C1=0.0, C2=0.0, beta=0.5, g_norm=1.0, eps=1.0,
-        )
     with pytest.raises(ValueError, match="alpha"):
         SolverParams(
-            N=1, q=0.5, m=2, alpha=1.2, n_prime=1, gamma=0.5, d=1, h0=1, n0=3,
-            C_nprime=1.0, C_m=1.0, C1=0.0, C2=0.0, beta=0.5, g_norm=1.0, eps=1.0,
+            M=math.sqrt(1.2), L=0.5, g_norm=1.0, eps=1.0, N=1, m=2, n_prime=1, n0=3
         )
+
+
+def test_solver_params_stores_eight_values_and_derives_ten():
+    p = derive_params(M_BENCH, L_BENCH, G1_NORM, 1e-3, n0=55)
+    assert [f.name for f in dataclasses.fields(p)] == [
+        "M", "L", "g_norm", "eps", "N", "m", "n_prime", "n0"
+    ]
+    for name in ("q", "alpha", "gamma", "beta", "d", "h0", "C_m", "C_nprime", "C1", "C2"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0.5)
+    assert p.n0 == p.m * p.d + p.h0 and 0 <= p.h0 < p.m
+
+
+@pytest.mark.parametrize("name", ["N", "m", "n_prime"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_derive_params_rejects_a_count_below_one(name, value):
+    with pytest.raises(ValueError, match=rf"^need {name} >= 1, got {value}$"):
+        derive_params(M_BENCH, L_BENCH, G1_NORM, 1e-3, **{name: value})
 
 
 def test_error_budget_enforces_op_bound():
@@ -242,6 +253,26 @@ def test_solve_benchmark_small_run(bench):
     assert "midpoint" in sol.budget.discretization_note
 
 
+def test_inner_bound_value_covers_every_inner_solve(bench):
+    # the inner solves run on z^(0) = g1, ..., z^(n0), and the bound scales with
+    # the target's norm, so the budget takes it at the largest of them
+    params = prepare(bench, 1e-3, n0=16)
+    zs = []
+    sol = solve(bench, params, outer_callback=lambda t, z: zs.append(z))
+    cfg = ContinuationConfig(params.N, params.q, params.n0)
+    z_max = max(norm(bench, z) for z in zs)
+    assert z_max > params.g_norm
+    assert sol.budget.inner_bound_value == inner_bound(cfg, z_max)
+    _, f0, _ = shift_parts(bench)
+
+    def F1(v):
+        return fred(bench, v) - f0
+
+    xi = p_inverse(F1, zs[-1], cfg)
+    assert np.array_equal(xi, sol.xi)
+    assert norm(bench, xi + F1(xi) - zs[-1]) <= sol.budget.inner_bound_value
+
+
 def test_solve_rejects_mismatched_params(bench):
     wrong = derive_params(M_BENCH, 0.9, G1_NORM, 1e-3)
     with pytest.raises(ValueError, match="do not match"):
@@ -292,7 +323,7 @@ def test_p_inverse_nonexpansive(bench):
 
     rng = np.random.default_rng(12345)
     for _ in range(5):
-        cfg = ContinuationConfig.for_lipschitz(1.1, 2, 20)
+        cfg = ContinuationConfig(N=2, q=1.1 / 2, n0=20)
         z1 = g1 + rng.uniform(-0.5, 0.5, bench.dim)
         z2 = g1 + rng.uniform(-0.5, 0.5, bench.dim)
         d_out = norm(bench, p_inverse(F1, z1, cfg) - p_inverse(F1, z2, cfg))
