@@ -15,7 +15,10 @@ recomputation, and correctness does not (each inner solve is started fresh
 from its own target).
 
 ``F`` is any callable mapping a 1-d ndarray to one of the same shape;
-``cfg.op_counter`` tallies its evaluations.
+``cfg.op_counter`` tallies its evaluations.  F need not check its output:
+each step forms its iterate on a fresh array, writing into neither F's result
+nor the target, checks it once, and raises :class:`SolverError` with F's
+argument as ``state`` when it is non-finite, for the caller to name the cause.
 """
 
 from __future__ import annotations
@@ -37,7 +40,12 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """An iteration produced a non-finite state or failed to meet its contract."""
+    """An iteration produced a non-finite state or failed to meet its contract.
+    ``state``, if not None, is the argument of the map whose step failed."""
+
+    def __init__(self, message: str, state=None):
+        super().__init__(message)
+        self.state = state
 
 
 @dataclass
@@ -67,20 +75,6 @@ class ContinuationConfig:
         return 1.0 / self.N
 
 
-def _step(F, w, target, cfg, level, k, on_step):
-    value = np.asarray(F(w), dtype=float)
-    cfg.op_counter += 1
-    nxt = -cfg.eps0 * value + target
-    if not np.isfinite(nxt).all():
-        raise SolverError(
-            f"non-finite iterate at level {level}, step {k}; "
-            "the Lipschitz/monotonicity assumptions are likely violated"
-        )
-    if on_step is not None:
-        on_step(level, k, nxt)
-    return nxt
-
-
 def level_solve(F, level: int, target, cfg: ContinuationConfig, on_step=None):
     """n0 fixed-point steps of w <- -eps0*F(chain(w)) + target at one level.
 
@@ -92,15 +86,23 @@ def level_solve(F, level: int, target, cfg: ContinuationConfig, on_step=None):
     if not 1 <= level <= cfg.N:
         raise ValueError(f"level must be in [1, {cfg.N}], got {level}")
     target = np.asarray(target, dtype=float)
+    lower, scale = range(level - 1, 0, -1), -cfg.eps0
     w = target.copy()
     for k in range(cfg.n0):
-        w = _step(F, _chain_down(F, w, level - 1, cfg, on_step), target, cfg, level, k, on_step)
-    return w
-
-
-def _chain_down(F, w, k: int, cfg, on_step):
-    for lev in range(k, 0, -1):
-        w = level_solve(F, lev, w, cfg, on_step)
+        for lev in lower:
+            w = level_solve(F, lev, w, cfg, on_step)
+        nxt = np.multiply(F(w), scale, dtype=float)  # a fresh array: F's stays as it was
+        cfg.op_counter += 1
+        nxt += target
+        if np.count_nonzero(np.isfinite(nxt)) != nxt.size:
+            raise SolverError(
+                f"non-finite iterate at level {level}, step {k}; "
+                "the Lipschitz/monotonicity assumptions are likely violated",
+                state=w,
+            )
+        if on_step is not None:
+            on_step(level, k, nxt)
+        w = nxt
     return w
 
 
@@ -110,8 +112,9 @@ def p_inverse(F, z, cfg: ContinuationConfig, on_step=None):
     Solves the top level for y, then maps y down through the remaining
     N-1 inversions.  The defect ||xi + F(xi) - z|| obeys :func:`inner_bound`.
     """
-    y = level_solve(F, cfg.N, z, cfg, on_step)
-    return _chain_down(F, y, cfg.N - 1, cfg, on_step)
+    for lev in range(cfg.N, 0, -1):
+        z = level_solve(F, lev, z, cfg, on_step)
+    return z
 
 
 def growth(q: float, N: int) -> float:

@@ -26,7 +26,9 @@ the Newton oracle's Jacobian all go through them.  Only the length-dim output
 of phi and fred is checked for non-finite values; when it fails, or when
 numpy's warning about the weighted sum is raised as an error (``python -W
 error``), the kernel's own table is searched for the offending cell to name
-in the error.
+in the error.  :func:`fred_unchecked`, the continuation's inner map, returns
+the raw sum (named cells only for a warning raised as an error): the
+continuation checks each iterate, and :func:`fred` names a failing one's cell.
 
 Separable kernels.  A problem may declare k = sum_r c_r(t, s) * e_r(s, x)
 (``Problem.k1_terms``/``k2_terms``), with c_r free of the state and e_r
@@ -215,13 +217,13 @@ def _split_table(split, nodes: np.ndarray, v: np.ndarray):
     return vals
 
 
-def _check_kernel_values(sys: DiscreteSystem, which: str, v: np.ndarray, vals) -> None:
+def _check_kernel_values(sys: DiscreteSystem, which: str, v: np.ndarray, vals=None) -> None:
     """Raise the error naming the kernel's first non-finite table cell, if any.
 
-    A table built from a separable form is replaced by the kernel's own, so
-    the kernel raises, or names the cell, exactly as it does without one.
+    A separable form's table, or none, gives way to the kernel's own, so the
+    kernel raises, or names the cell, exactly as it does without one.
     """
-    if getattr(sys, f"{which}_terms") is not None:
+    if vals is None or getattr(sys, f"{which}_terms") is not None:
         vals = _kernel_call(sys, which, v)
     bad = ~np.isfinite(vals)
     if which == "k1":
@@ -268,21 +270,22 @@ def phi(sys: DiscreteSystem, xi) -> np.ndarray:
 
 
 def fred_unchecked(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
-    """:func:`fred` for a state already known to be a finite length-dim array."""
+    """:func:`fred`'s weighted sum, unchecked, for a finite length-dim state."""
     vals = k2_table(sys, v)
     try:
-        out = vals @ sys.scheme.global_weights
+        return vals @ sys.scheme.global_weights
     except RuntimeWarning:  # as in phi
         _check_kernel_values(sys, "k2", v, vals)
         raise
-    if not np.isfinite(out).all():
-        _check_kernel_values(sys, "k2", v, vals)
-    return out
 
 
 def fred(sys: DiscreteSystem, xi) -> np.ndarray:
     """Fredholm part: row i integrates k2(t_i, s, xi(s)) over [a, b]."""
-    return fred_unchecked(sys, _as_state(sys, xi))
+    v = _as_state(sys, xi)
+    out = fred_unchecked(sys, v)
+    if not np.isfinite(out).all():
+        _check_kernel_values(sys, "k2", v)
+    return out
 
 
 def inner(sys: DiscreteSystem, u, v) -> float:

@@ -73,8 +73,12 @@ class SolverParams:
         _check_declared(self.M, self.L)
         if not self.eps > 0:
             raise ValueError(f"need eps > 0, got {self.eps}")
+        if self.eps == math.inf:
+            raise ValueError("need finite eps > 0, got inf")
         if not self.g_norm >= 0:
             raise ValueError(f"need g_norm >= 0, got {self.g_norm}")
+        if self.g_norm == math.inf:
+            raise ValueError("need finite g_norm >= 0, got inf")
         for name in ("N", "m", "n_prime", "n0"):
             if getattr(self, name) < 1:
                 raise ValueError(f"need {name} >= 1, got {getattr(self, name)}")
@@ -295,10 +299,18 @@ def solve(
                 f"params do not match the system: {label}={value} but {what}={expected}"
             )
 
-    # g1 is finite and every later state is an iterate that _step has
-    # checked, so the inner map skips fred's argument validation
+    # g1 and every iterate are checked, so the inner map skips fred's checks
     def F1(v):
-        return discrete.fred_unchecked(sys, v) - f0
+        out = discrete.fred_unchecked(sys, v)
+        out -= f0
+        return out
+
+    def p_inverse(z):
+        try:
+            return continuation.p_inverse(F1, z, cfg)
+        except SolverError as err:
+            discrete.fred(sys, err.state)  # names a non-finite table cell, if any
+            raise
 
     cfg = ContinuationConfig(params.N, params.q, params.n0)
     outer_ops = 0
@@ -307,7 +319,7 @@ def solve(
     if outer_callback is not None:
         outer_callback(0, z.copy())
     for t in range(params.n0):
-        xi_t = continuation.p_inverse(F1, z, cfg)
+        xi_t = p_inverse(z)
         z = -(discrete.phi(sys, xi_t) - phi0) + g1
         outer_ops += 1
         if not np.isfinite(z).all():
@@ -315,7 +327,7 @@ def solve(
         z_norm = max(z_norm, discrete.norm(sys, z))
         if outer_callback is not None:
             outer_callback(t + 1, z.copy())
-    xi = continuation.p_inverse(F1, z, cfg)
+    xi = p_inverse(z)
 
     budget = ErrorBudget(
         iteration_bound=iteration_bound(params),

@@ -131,16 +131,23 @@ def _function_of_t(src: str, what: str) -> Callable:
     return lambda t: of_tsx(t, 0.0, 0.0)
 
 
+def _factor(tree: expr.Expr, first: str) -> Callable:
+    """A factor as a function of (t, s) or (s, x), by ``first``: compiled, or
+    plain for a bare variable or constant (discrete takes no error from it)."""
+    if type(tree) is expr.Const:
+        return lambda u, v, value=tree.value: value
+    if type(tree) is expr.Var:
+        return (lambda u, v: u) if tree.name == first else (lambda u, v: v)
+    f = expr.compile_expression(tree)
+    return (lambda t, s: f(t, s, 0.0)) if first == "t" else (lambda s, x: f(0.0, s, x))
+
+
 def _terms(tree: expr.Expr) -> tuple | None:
     """A kernel tree's separable form (:func:`vfsolve.expr.split_terms`), compiled."""
     pairs = expr.split_terms(tree)
     if pairs is None:
         return None
-    terms = []
-    for c_tree, e_tree in pairs:
-        c, e = expr.compile_expression(c_tree), expr.compile_expression(e_tree)
-        terms.append((lambda t, s, c=c: c(t, s, 0.0), lambda s, x, e=e: e(0.0, s, x)))
-    return tuple(terms)
+    return tuple((_factor(c, "t"), _factor(e, "s")) for c, e in pairs)
 
 
 def from_expressions(

@@ -364,6 +364,20 @@ def test_count_below_one_fails_derivation_in_bound_and_solve(tmp_path, capsys, k
     assert capsys.readouterr().err == "solver failure: " + why
 
 
+def test_overflowing_forcing_norm_fails_derivation_in_bound_and_solve(tmp_path, capsys):
+    # ||g1|| of a finite g overflows to inf: refused by name, not by a d search
+    # that runs to D_CAP and then blames eps
+    path = write_ini(tmp_path, (
+        "[problem]\na = 0\nb = 1\nk1 = 0\nk2 = 0\ng = 1e200*t\nM = 0.5\nL = 0.5\n"
+        "[quadrature]\ncells = 10\n"
+    ))
+    why = "need finite g_norm >= 0, got inf"
+    assert cmd_bound(path) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines()[-1] == "config error: " + why
+    assert cmd_solve(path) == EXIT_SOLVER
+    assert capsys.readouterr().err.splitlines()[-1] == "solver failure: " + why
+
+
 # ---------------------------------------------------------------- bound
 
 def test_bound_reference_prints_pinned_params(capsys):

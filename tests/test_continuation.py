@@ -96,6 +96,48 @@ def test_nonfinite_iterate_raises():
         level_solve(blow_up, 1, np.array([1.0]), cfg)
 
 
+def _plain_level(F, level, y, N, n0):
+    w = y
+    for _ in range(n0):
+        u = w
+        for lev in range(level - 1, 0, -1):
+            u = _plain_level(F, lev, u, N, n0)
+        w = -(1.0 / N) * F(u) + y
+    return w
+
+
+def test_steps_never_write_into_arrays_they_do_not_own():
+    target = np.array([1.0, -2.0, 0.5])
+    kept = np.array([0.25, 0.5, -1.0])
+    for F in (lambda v: v, lambda v: kept):
+        for level in (1, 2):
+            cfg, seen = _cfg(0.9, 2, 5), []
+            on_step = lambda lev, k, w: seen.append((w, w.copy()))
+            got = level_solve(F, level, target, cfg, on_step)
+            want = _plain_level(F, level, target, 2, 5)
+            assert got.tobytes() == want.tobytes()
+            assert len(seen) == cfg.op_counter == 5 * 6 ** (level - 1)
+            assert all(w.tobytes() == copy.tobytes() for w, copy in seen)
+        got = p_inverse(F, target, _cfg(0.9, 2, 5))
+        assert got.tobytes() == _plain_level(F, 1, _plain_level(F, 2, target, 2, 5), 2, 5).tobytes()
+        assert target.tolist() == [1.0, -2.0, 0.5]
+        assert kept.tolist() == [0.25, 0.5, -1.0]
+
+
+def test_nonfinite_iterate_carries_the_maps_argument():
+    cfg = _cfg(0.5, 2, 3)
+    argument = []
+
+    def F(v):
+        argument.append(v.copy())
+        return np.full_like(v, np.inf) if len(argument) == 6 else 0.5 * v
+
+    with pytest.raises(SolverError, match=r"^non-finite iterate at level 1, step 1;") as info:
+        p_inverse(F, np.array([1.0, 2.0]), cfg)
+    assert cfg.op_counter == 6
+    assert info.value.state.tobytes() == argument[-1].tobytes()
+
+
 def test_op_counter_exact_for_p_inverse(bench):
     sys_, F1, g1 = bench
     for L, N, n0 in ((0.9, 1, 12), (1.1, 2, 12), (1.1, 2, 25)):

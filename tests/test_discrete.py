@@ -268,7 +268,7 @@ SPLIT_KERNELS = [
     "t + s*x", "t - s - x", "t^2 + s^2", "-t*s + x", "sin(t)*cos(s) + tan(x/4)",
     "exp(-t) + ln(t)", "sqrt(t*s) + abs(-x)", "pi*t + e", "(t+s)*(t-s)",
     "5*t*s*cos(x)", "11/2*t^2*s^2*x", "t^0.5 * x^3", "abs(t-s)^2 + sqrt(abs(s-x))",
-    "-(t/2)*sin(x)", "x*t", "-(t*x + s)", "2*pi - 1", "sqrt(t - s)*x",
+    "-(t/2)*sin(x)", "x*t", "-(t*x + s)", "2*pi - 1", "sqrt(t - s)*x", "t*x + s",
 ]
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from vfsolve.hybrid import (
     shift_parts,
     solve,
 )
-from vfsolve.problem import benchmark_problem, from_expressions
+from vfsolve.expr import EvalDomainError
+from vfsolve.problem import Problem, benchmark_problem, from_expressions
 from vfsolve.quadrature import build_scheme, make_grid
 
 M_BENCH = math.sqrt(25.0 / 18.0)
@@ -102,6 +104,20 @@ def test_derive_params_input_validation():
         derive_params(1.0, 0.5, 1.0, 0.0)
     with pytest.raises(ValueError, match="g_norm >= 0"):
         derive_params(1.0, 0.5, -1.0, 1e-3)
+
+
+def test_solver_params_reject_infinite_g_norm_and_eps():
+    # an infinite ||g1|| would run the d search to D_CAP and blame eps, or give
+    # params whose bound is nan (C1 = 0*inf); nan keeps its own text
+    for L in (0.5, 0.0):
+        with pytest.raises(ValueError, match=r"^need finite g_norm >= 0, got inf$"):
+            derive_params(0.3, L, math.inf, 1e-3)
+    with pytest.raises(ValueError, match=r"^need finite eps > 0, got inf$"):
+        derive_params(0.3, 0.5, 1.0, math.inf)
+    with pytest.raises(ValueError, match=r"^need eps > 0, got nan$"):
+        derive_params(0.3, 0.5, 1.0, math.nan)
+    with pytest.raises(ValueError, match=r"^need g_norm >= 0, got nan$"):
+        derive_params(0.3, 0.5, math.nan, 1e-3)
 
 
 def test_derive_params_d_cap():
@@ -328,3 +344,85 @@ def test_p_inverse_nonexpansive(bench):
         z2 = g1 + rng.uniform(-0.5, 0.5, bench.dim)
         d_out = norm(bench, p_inverse(F1, z1, cfg) - p_inverse(F1, z2, cfg))
         assert d_out <= norm(bench, z1 - z2) * (1 + 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# how a failing inner map surfaces: exception type and text
+
+
+def _c(t, s):
+    return -0.1 * (1.0 + t * s)
+
+
+def _failing(e, terms=True):
+    # F < 0 pushes the iterates up from g1 = t <= 4 and past x = 5 at step 1
+    return Problem(
+        a=0.0, b=4.0, k1=lambda t, s, x: 0.0 * x, k2=lambda t, s, x: _c(t, s) * e(s, x),
+        g=lambda t: 1.0 * t, M=0.0, L=1.2, k2_terms=((_c, e),) if terms else None,
+    )
+
+
+def _cell(j):
+    return ValueError, f"fredholm kernel k2 evaluated non-finite at mesh cell (i=0, j={j})"
+
+
+def _ln(src, points, j):
+    return EvalDomainError, (
+        f"ln of a non-positive value in '{src}': {points} offending input point(s), "
+        f"first at index (0, {j})"
+    )
+
+
+_E_INF = lambda s, x: np.where(x > 5.0, np.inf, x)
+_BENCH = benchmark_problem()
+_ITERATE = (
+    SolverError,
+    "non-finite iterate at level 1, step 1; "
+    "the Lipschitz/monotonicity assumptions are likely violated",
+)
+# name -> (problem, {rule: (type, text)}); the same under both warning filters,
+# except that "error" turns numpy's overflow warning into the exception
+FAILING_MAPS = {
+    "inf": (_failing(_E_INF), {"midpoint": _cell(11), "trapezoid": _cell(12)}),
+    "inf, no terms": (
+        _failing(_E_INF, terms=False), {"midpoint": _cell(11), "trapezoid": _cell(12)}
+    ),
+    "huge finite": (
+        _failing(lambda s, x: np.where(x > 5.0, 1e308, x)),
+        {"midpoint": _ITERATE, "trapezoid": _ITERATE},
+    ),
+    "mixed inf": (
+        _failing(lambda s, x: np.where(x > 5.0, np.where(s > 2.0, np.inf, -np.inf), x)),
+        {"midpoint": _cell(11), "trapezoid": _cell(12)},
+    ),
+    "ln(x)": (
+        from_expressions(
+            0.0, 1.0, "5*t*s*cos(x)", "(11/2)*t^2*s^2*ln(x)",
+            "(11/8)*t^2 - 4*t + 5*t*cos(t) + 5*t^2*sin(t)", _BENCH.M, _BENCH.L,
+        ),
+        {"midpoint": _ln("ln(x)", 400, 0), "trapezoid": _ln("ln(x)", 441, 0)},
+    ),
+    "ln(6 - x)": (
+        from_expressions(0.0, 4.0, "0", "-(1/10)*t*s*ln(6 - x)", "t", 0.0, 1.2),
+        {"midpoint": _ln("ln((6.0 - x))", 160, 12), "trapezoid": _ln("ln((6.0 - x))", 168, 13)},
+    ),
+}
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+@pytest.mark.parametrize("rule", ["midpoint", "trapezoid"])
+@pytest.mark.parametrize("name", list(FAILING_MAPS))
+def test_failing_inner_map_raises_its_exact_error(name, rule, action):
+    prob, want = FAILING_MAPS[name]
+    sys_ = build_system(prob, build_scheme(make_grid(prob.a, prob.b, 20), rule))
+    if name == "huge finite" and action == "error":
+        want = {rule: (RuntimeWarning, "overflow encountered in matmul")}
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        # ln(x) fails already at F(0), in prepare's shift as in solve's
+        params = derive_params(prob.M, prob.L, 1.0, 1e-3, n0=4)
+        if name != "ln(x)":
+            params = prepare(sys_, 1e-3, n0=4)
+        with pytest.raises(Exception) as info:
+            solve(sys_, params)
+    assert (type(info.value), str(info.value)) == want[rule]
