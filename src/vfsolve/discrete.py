@@ -46,6 +46,15 @@ Jacobian use.
 Where a c_r or e_r raises, the kernel builds the table, and phi and fred
 name a non-finite cell from the kernel's own table, so errors and their
 texts are the kernel's.
+
+Stacked tables.  :func:`k1_table` and :func:`k2_table` also take a stack of
+states, (P, dim) or with more leading axes, the grid on the last axis, and
+return the (P, dim, dim) stack of their tables: the kernel or its factors
+get x with the same leading axes, and a result of lower rank is broadcast
+to the stack.  ``tables @ global_weights`` and :func:`_volterra_sum` then
+give fred's and phi's rows, unchecked, each slice bit-identical to the map
+of its own state.  :func:`vfsolve.problem.check_assumptions` evaluates its
+pairs this way; phi and fred themselves take one state and check it.
 """
 
 from __future__ import annotations
@@ -146,7 +155,7 @@ def _c_tables(terms, t, s) -> tuple | None:
     if terms is None:
         return None
     try:
-        return tuple((_kernel_table(c(t, s), len(t)), e) for c, e in terms)
+        return tuple((_kernel_table(c(t, s), (len(t), len(t))), e) for c, e in terms)
     except Exception:  # the kernel raises it, where and as it always has
         return None
 
@@ -188,30 +197,38 @@ def _as_state(sys: DiscreteSystem, xi, what: str = "state vector") -> np.ndarray
     return v
 
 
-def _kernel_table(vals, dim: int) -> np.ndarray:
+def _kernel_table(vals, shape: tuple) -> np.ndarray:
     vals = np.asarray(vals, dtype=float)
-    return vals if vals.shape == (dim, dim) else np.broadcast_to(vals, (dim, dim))
+    return vals if vals.shape == shape else np.broadcast_to(vals, shape)
+
+
+def _table_shape(v: np.ndarray) -> tuple:
+    """(dim, dim) for a state, (P, dim, dim) for a (P, dim) stack of them."""
+    dim = v.shape[-1]
+    return v.shape[:-1] + (dim, dim)
 
 
 def _kernel_call(sys: DiscreteSystem, which: str, v: np.ndarray) -> np.ndarray:
     """The table from the kernel itself ("k1" or "k2")."""
     nodes = sys.scheme.nodes
     if which == "k1":
-        x_table = np.where(sys.volterra_mask, v[None, :], v[0])
+        x_table = np.where(sys.volterra_mask, v[..., None, :], v[..., :1, None])
         vals = sys.problem.k1(nodes[:, None], sys.s_mesh_volterra, x_table)
     else:
-        vals = sys.problem.k2(nodes[:, None], nodes[None, :], v[None, :])
-    return _kernel_table(vals, len(nodes))
+        vals = sys.problem.k2(nodes[:, None], nodes[None, :], v[..., None, :])
+    return _kernel_table(vals, _table_shape(v))
 
 
 def _split_table(split, nodes: np.ndarray, v: np.ndarray):
     """sum_r c_r * e_r(s_j, v_j) as a table, or None for the kernel to decide."""
-    s, x = nodes[None, :], v[None, :]
+    s, x = nodes[None, :], v[..., None, :]
     vals = None
     try:
         for c_table, e in split:
             term = c_table * e(s, x)
             vals = term if vals is None else vals + term
+        if v.ndim > 1:  # terms free of x leave one (dim, dim) table for the stack
+            vals = _kernel_table(vals, _table_shape(v))
     except Exception:  # the kernel raises it, with its own text
         return None
     return vals
@@ -235,7 +252,8 @@ def _check_kernel_values(sys: DiscreteSystem, which: str, v: np.ndarray, vals=No
 
 
 def k1_table(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
-    """k1(t_i, s_j, v_j) as a (dim, dim) table, possibly a read-only view.
+    """k1(t_i, s_j, v_j) as a (dim, dim) table, possibly a read-only view;
+    a (P, dim) stack of states gives a (P, dim, dim) stack of tables.
 
     Cells outside ``sys.volterra_mask`` hold values from clamped in-domain
     points, such as k1 at (s_0, v_0); callers must discard them.
@@ -247,20 +265,26 @@ def k1_table(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
 
 
 def k2_table(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
-    """k2(t_i, s_j, v_j) as a (dim, dim) table, possibly a read-only view."""
+    """k2(t_i, s_j, v_j) as a (dim, dim) table, possibly a read-only view;
+    a (P, dim) stack of states gives a (P, dim, dim) stack of tables."""
     split = sys.k2_split
     if split is not None and (vals := _split_table(split, sys.scheme.nodes, v)) is not None:
         return vals
     return _kernel_call(sys, "k2", v)
 
 
+def _volterra_sum(sys: DiscreteSystem, vals: np.ndarray) -> np.ndarray:
+    """phi's weighted row sums of a k1 table, or of a stack of them, unchecked."""
+    cells = np.where(sys.volterra_mask, vals, 0.0)
+    return np.multiply(sys.scheme.volterra_weights, cells, out=cells).sum(axis=-1)
+
+
 def phi(sys: DiscreteSystem, xi) -> np.ndarray:
     """Volterra part: row i integrates k1(t_i, s, xi(s)) over [a, t_i]."""
     v = _as_state(sys, xi)
-    mask = sys.volterra_mask
     vals = k1_table(sys, v)
     try:
-        out = (sys.scheme.volterra_weights * np.where(mask, vals, 0.0)).sum(axis=1)
+        out = _volterra_sum(sys, vals)
     except RuntimeWarning:  # numpy's warning about a bad table, raised by -W error
         _check_kernel_values(sys, "k1", v, vals)
         raise

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import expr
+from . import discrete, expr
 
 __all__ = [
     "Problem",
@@ -50,6 +50,14 @@ class Problem:
     hold the clamped in-domain point (s_0, xi_0).  Either result is
     broadcast to (dim, dim), so a lower-rank array or a scalar is fine.
     ``g`` and ``exact`` take t alone.
+
+    :func:`check_assumptions` evaluates stacks of states, so kernels and the
+    factors of their separable forms may also get x with leading batch
+    axes, as (P, 1, dim) for ``k2`` and every ``e_r`` and (P, dim, dim)
+    for ``k1``, with t and s unchanged; the result is broadcast to
+    (P, dim, dim).  They must act elementwise, so that each slice of the
+    result is what the single state gives.  A kernel that does not
+    broadcast so (one that raises) is audited pair by pair instead.
 
     ``k1_terms``/``k2_terms`` optionally declare a kernel's separable form
     k(t, s, x) = sum_r c_r(t, s) * e_r(s, x), summed from r = 1 up, as a
@@ -220,10 +228,63 @@ class AssumptionReport:
         return out
 
 
+def _box_of(g_vec: np.ndarray) -> float:
+    gmax = float(np.max(np.abs(g_vec)))
+    return 2.0 * gmax if gmax > 0.0 else 1.0
+
+
 def default_x_box(problem: Problem, scheme) -> float:
     """Sample-box half-width: twice the largest |g| on the grid (1.0 if g = 0)."""
-    gmax = float(np.max(np.abs(np.asarray(problem.g(scheme.nodes), dtype=float))))
-    return 2.0 * gmax if gmax > 0.0 else 1.0
+    return _box_of(np.asarray(problem.g(scheme.nodes), dtype=float))
+
+
+# kernel-table cells per audit block, 4 pairs at dim 50: smaller blocks pay
+# more per-call overhead, larger ones more memory and more page faults
+_AUDIT_BLOCK_CELLS = 20_000
+
+
+def _pair_ratios(system, u: np.ndarray, v: np.ndarray) -> tuple | None:
+    """One pair's three ratios through the checked maps; None if ||u - v|| = 0.
+
+    This is the audit's definition, errors included; blocks replay through it.
+    """
+    dn = discrete.norm(system, u - v)
+    if dn == 0.0:
+        return None
+    df = discrete.fred(system, u) - discrete.fred(system, v)
+    dp = discrete.phi(system, u) - discrete.phi(system, v)
+    return (
+        discrete.norm(system, df) / dn,
+        discrete.inner(system, df, u - v) / dn**2,
+        discrete.norm(system, dp) / dn,
+    )
+
+
+def _block_ratios(system, uv: np.ndarray) -> list | None:
+    """:func:`_pair_ratios` of each pair (u, v) in a (k, 2, dim) block, from
+    stacked kernel tables; None where the block must replay pair by pair.
+
+    The sums run along the last axis in :mod:`vfsolve.discrete`'s order, so
+    a block whose values are all finite, with no ||u - v|| = 0, gives the
+    ratios of the pair loop bit for bit.
+    """
+    w = system.scheme.global_weights
+    d = uv[:, 0] - uv[:, 1]
+    fr = discrete.k2_table(system, uv) @ w
+    ph = discrete._volterra_sum(system, discrete.k1_table(system, uv))
+    # each stage checked before the next, which would only warn about it
+    if not all(np.isfinite(a).all() for a in (d, fr, ph)):
+        return None
+    df = fr[:, 0] - fr[:, 1]
+    dp = ph[:, 0] - ph[:, 1]
+    if not (np.isfinite(df).all() and np.isfinite(dp).all()):
+        return None
+    # discrete.norm's and discrete.inner's sums: ||d||^2, ||df||^2, ||dp||^2, <df, d>
+    sums = np.sum([w * d * d, w * df * df, w * dp * dp, w * (df * d)], axis=-1)
+    if not np.isfinite(sums).all() or not sums[0].all():
+        return None
+    dn, fn, pn = np.sqrt(sums[:3]).tolist()
+    return [(f / n, i / n**2, p / n) for n, f, p, i in zip(dn, fn, pn, sums[3].tolist())]
 
 
 def check_assumptions(
@@ -239,35 +300,47 @@ def check_assumptions(
     Ratios use the weighted norm of :mod:`vfsolve.discrete`.  Raises on a
     non-finite kernel evaluation inside the box.  ``system``, when given, is
     ``discrete.build_system(problem, scheme)`` already built, and is used
-    instead of building it again.
-    """
-    from . import discrete  # deferred: discrete type-checks against this module
+    instead of building it again; the default box is taken from its
+    ``g_vec``, so a bad forcing term is named by ``build_system``.
 
+    The pairs are drawn and evaluated a block at a time: a block's states
+    are stacked, their kernel tables built in one pass (about 20,000 cells,
+    at least one pair), and its ratios reduced together.  A block with a
+    non-finite value, a pair with u = v in norm, or an evaluation that
+    raises (a warning raised as an error included) is replayed pair by pair
+    through the checked maps, which raise the first error, with its text, or
+    give the block's ratios.  Earlier blocks all passed, so the report and
+    every error are those of a pair-by-pair audit, bit for bit.
+    """
     if pairs < 100:
         raise ValueError(f"need at least 100 sample pairs, got {pairs}")
-    box = default_x_box(problem, scheme) if x_box is None else float(x_box)
-    if box <= 0 or not np.isfinite(box):
-        raise ValueError(f"x_box must be positive and finite, got {box}")
-
     if system is None:
         system = discrete.build_system(problem, scheme)
     elif system.problem is not problem or system.scheme is not scheme:
         raise ValueError("system was built for another problem or scheme")
+    box = _box_of(system.g_vec) if x_box is None else float(x_box)
+    if box <= 0 or not np.isfinite(box):
+        raise ValueError(f"x_box must be positive and finite, got {box}")
+
     rng = np.random.default_rng(seed)
+    block = max(1, _AUDIT_BLOCK_CELLS // (2 * system.dim**2))
     f_ratio = 0.0
     mono = np.inf
     phi_ratio = 0.0
     used = 0
-    for _ in range(pairs):
-        u = rng.uniform(-box, box, system.dim)
-        v = rng.uniform(-box, box, system.dim)
-        dn = discrete.norm(system, u - v)
-        if dn == 0.0:
-            continue
-        df = discrete.fred(system, u) - discrete.fred(system, v)
-        dp = discrete.phi(system, u) - discrete.phi(system, v)
-        f_ratio = max(f_ratio, discrete.norm(system, df) / dn)
-        mono = min(mono, discrete.inner(system, df, u - v) / dn**2)
-        phi_ratio = max(phi_ratio, discrete.norm(system, dp) / dn)
-        used += 1
+    for start in range(0, pairs, block):
+        uv = rng.uniform(-box, box, (min(block, pairs - start), 2, system.dim))
+        try:
+            ratios = _block_ratios(system, uv)
+        except Exception:  # the pair loop raises it, or gets past it
+            ratios = None
+        if ratios is None:
+            ratios = [_pair_ratios(system, u, v) for u, v in uv]
+        for r in ratios:
+            if r is None:
+                continue
+            f_ratio = max(f_ratio, r[0])
+            mono = min(mono, r[1])
+            phi_ratio = max(phi_ratio, r[2])
+            used += 1
     return AssumptionReport(f_ratio, float(mono), phi_ratio, used, box)

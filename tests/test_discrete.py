@@ -254,6 +254,13 @@ def _same_maps(problem, scheme, states):
         assert np.array_equal(fred(split, xi), fred(dense, xi))
         assert np.array_equal(k2_table(split, xi), k2_table(dense, xi))
         assert np.array_equal(k1_table(split, xi)[mask], k1_table(dense, xi)[mask])
+    # a (P, dim) stack of states gives the stack of their tables, bit for bit
+    for sys_ in (split, dense):
+        for table in (k1_table, k2_table):
+            stacked = table(sys_, states)
+            assert stacked.shape == (len(states), sys_.dim, sys_.dim)
+            for p, xi in enumerate(states):
+                np.testing.assert_array_equal(stacked[p], table(sys_, xi))
 
 
 @pytest.mark.parametrize("rule, rows", SCHEMES)

@@ -1,12 +1,18 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
-from vfsolve.discrete import build_system
-from vfsolve.expr import ParseError, TokenizeError
+from vfsolve.discrete import build_system, fred, inner, norm, phi
+from vfsolve.expr import EvalDomainError, ParseError, TokenizeError
 from vfsolve.problem import (
+    DEFAULT_SEED,
+    AssumptionReport,
     benchmark_problem,
     builtin_problem,
     check_assumptions,
+    default_x_box,
     from_expressions,
 )
 from vfsolve.quadrature import build_scheme, make_grid
@@ -153,5 +159,141 @@ def test_check_assumptions_nonfinite_kernel_raises(scheme):
     weird = from_expressions(
         0.0, 1.0, k1_src="0", k2_src="1/(t-s)", g_src="t", M=0.0, L=1.0
     )
-    with pytest.raises(Exception):
+    with pytest.raises(EvalDomainError) as err:
         check_assumptions(weird, scheme, pairs=100)
+    assert str(err.value) == (
+        "division by zero in '(1.0 / (t - s))': 50 offending input point(s), "
+        "first at index (0, 0)"
+    )
+
+
+def test_check_assumptions_names_a_nonfinite_forcing_term(scheme):
+    # the box comes from the system's g on the nodes, so build_system names g
+    bad_g = dataclasses.replace(benchmark_problem(), g=lambda t: np.where(t > 0.5, np.inf, t))
+    with pytest.raises(ValueError) as err:
+        check_assumptions(bad_g, scheme, pairs=100)
+    assert str(err.value) == "g is non-finite at node 25 (t = 0.51)"
+
+
+def _pair_loop_audit(problem, scheme, pairs, seed=DEFAULT_SEED):
+    """The audit one pair at a time through the checked maps: the reference."""
+    system = build_system(problem, scheme)
+    box = default_x_box(problem, scheme)
+    rng = np.random.default_rng(seed)
+    f_ratio, mono, phi_ratio, used = 0.0, np.inf, 0.0, 0
+    for _ in range(pairs):
+        u = rng.uniform(-box, box, system.dim)
+        v = rng.uniform(-box, box, system.dim)
+        dn = norm(system, u - v)
+        if dn == 0.0:
+            continue
+        df = fred(system, u) - fred(system, v)
+        dp = phi(system, u) - phi(system, v)
+        f_ratio = max(f_ratio, norm(system, df) / dn)
+        mono = min(mono, inner(system, df, u - v) / dn**2)
+        phi_ratio = max(phi_ratio, norm(system, dp) / dn)
+        used += 1
+    return AssumptionReport(f_ratio, float(mono), phi_ratio, used, box)
+
+
+def _bits(report):
+    """Every report field, floats by float.hex so that the sign of zero counts."""
+    return tuple(
+        value.hex() if isinstance(value, float) else value
+        for value in dataclasses.astuple(report)
+    )
+
+
+BENCH_G = BENCH_SOURCES["g_src"]
+M_BENCH = float(np.sqrt(25 / 18))
+AUDITED = {
+    "builtin": benchmark_problem,
+    "builtin_unsplit": lambda: dataclasses.replace(
+        benchmark_problem(), k1_terms=None, k2_terms=None
+    ),
+    "expressions": lambda: from_expressions(0.0, 1.0, M=M_BENCH, L=1.1, **BENCH_SOURCES),
+    "mixed_unsplit": lambda: from_expressions(
+        0.0, 1.0, "sin(t*x) + s", "t*s*x/(1+s)", BENCH_G, M=2.0, L=2.0
+    ),
+    # <F(u)-F(v), u-v> is a sum of signed zeros
+    "zero_fredholm": lambda: from_expressions(
+        0.0, 1.0, "5*t*s*cos(x)", "0", BENCH_G, M=M_BENCH, L=1.1
+    ),
+}
+SCHEMES = [("midpoint", "half_cell"), ("midpoint", "full_cell"), ("trapezoid", "half_cell"),
+           ("simpson", "half_cell")]
+
+
+@pytest.mark.parametrize("name", sorted(AUDITED))
+@pytest.mark.parametrize("rule, rows", SCHEMES)
+def test_blocked_audit_is_bit_identical_to_the_pair_loop(name, rule, rows):
+    problem = AUDITED[name]()
+    # blocks hold 82-100, 3-4 and 1 pair(s) at these sizes: 1001 and 150 pairs
+    # end on a partial block, except at 51 nodes (3 x 50)
+    for cells, pairs in ((10, 1001), (50, 150), (100, 100)):
+        scheme = build_scheme(make_grid(0.0, 1.0, cells), rule, midpoint_rows=rows)
+        seed = cells + pairs
+        expected = _pair_loop_audit(problem, scheme, pairs, seed)
+        assert _bits(check_assumptions(problem, scheme, pairs, seed=seed)) == _bits(expected)
+
+
+def _k2_inf_past(t, s, x):
+    # 8.37 is first exceeded by the 6th pair of seed 0: the failure is mid-block
+    return np.where(x > 8.37, np.inf, 5.5 * (t * t) * (s * s) * x)
+
+
+def _k2_refuses_stacks(t, s, x):
+    if np.ndim(x) != 2:
+        raise TypeError("this kernel takes a 2-d x only")
+    return 5.5 * (t * t) * (s * s) * x
+
+
+def _k2_warns_unselected(t, s, x):
+    # sqrt warns for x < 0, in cells np.where does not select
+    return t * s * np.where(x > 0.0, np.sqrt(x), x)
+
+
+def _audit_case(k2=None, source=None):
+    if source is not None:
+        return from_expressions(0.0, 1.0, "0", source, "t", M=0.5, L=0.5)
+    return dataclasses.replace(benchmark_problem(), k2=k2, k2_terms=None)
+
+
+INF_PAST = ValueError, "fredholm kernel k2 evaluated non-finite at mesh cell (i=0, j=30)"
+LN = EvalDomainError, (
+    "ln of a non-positive value in 'ln(x)': 1050 offending input point(s), "
+    "first at index (0, 1)"
+)
+SQRT = RuntimeWarning, "invalid value encountered in sqrt"
+
+
+# the outcome under the default warning filter and under "error" (None: the
+# audit completes), and the warnings seen under the default filter, as the
+# pair-by-pair audit gives them
+REPLAY_CASES = {
+    "inf_past": (lambda: _audit_case(_k2_inf_past), INF_PAST, INF_PAST, set()),
+    "ln": (lambda: _audit_case(source="ln(x)"), LN, LN, set()),
+    "refuses_stacks": (lambda: _audit_case(_k2_refuses_stacks), None, None, set()),
+    "warns_unselected": (lambda: _audit_case(_k2_warns_unselected), None, SQRT, {SQRT[1]}),
+}
+
+
+@pytest.mark.parametrize("filt", ["default", "error"])
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_failing_audit_blocks_replay_exactly(scheme, case, filt):
+    make, on_default, on_error, default_warnings = REPLAY_CASES[case]
+    expected = on_error if filt == "error" else on_default
+    problem = make()
+    if expected is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reference = _pair_loop_audit(problem, scheme, 100, seed=0)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(filt)
+        if expected is None:
+            assert _bits(check_assumptions(problem, scheme, pairs=100, seed=0)) == _bits(reference)
+        else:
+            with pytest.raises(expected[0]) as err:
+                check_assumptions(problem, scheme, pairs=100, seed=0)
+            assert type(err.value) is expected[0] and str(err.value) == expected[1]
+    assert {str(w.message) for w in seen} == (default_warnings if filt == "default" else set())
