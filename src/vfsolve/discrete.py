@@ -20,9 +20,10 @@ rather than full meshes:
   [a, b]^2 x state-box; those cells are discarded afterwards.
 
 Either result is broadcast to (dim, dim), so a kernel may return a
-lower-rank array or a scalar (e.g. ``lambda t, s, x: 0.0``).  The kernel
-tables come from :func:`k1_table` and :func:`k2_table` alone; phi, fred and
-the Newton oracle's Jacobian all go through them.  Only the length-dim output
+lower-rank array or a scalar (e.g. ``lambda t, s, x: 0.0``).  phi and
+fred take the kernel tables from :func:`k1_table` and :func:`k2_table`; the
+Newton oracle builds the same tables a row block at a time from
+:func:`_kernel_call` and the separable forms.  Only the length-dim output
 of phi and fred is checked for non-finite values; when it fails, or when
 numpy's warning about the weighted sum is raised as an error (``python -W
 error``), the kernel's own table is searched for the offending cell to name
@@ -104,6 +105,17 @@ class DiscreteSystem:
     @property
     def grid(self) -> "Grid":
         return self.scheme.grid
+
+    @cached_property
+    def shift(self) -> tuple:
+        """(Phi(0), F(0), g1) with g1 = g - Phi(0) - F(0), as read-only arrays."""
+        zero = np.zeros(self.dim)
+        phi0 = phi(self, zero)
+        f0 = fred(self, zero)
+        parts = (phi0, f0, self.g_vec - phi0 - f0)
+        for part in parts:
+            part.flags.writeable = False
+        return parts
 
     # F is mapped (n0+1)^(N+1) - 1 times a solve, Phi about n0 times: k2's
     # c_r tables are kept from first use on, k1's are evaluated per table and

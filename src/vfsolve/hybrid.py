@@ -5,13 +5,15 @@ operators vanish at the origin,
 
     Phi1(v) = Phi(v) - Phi(0),  F1(v) = F(v) - F(0),  g1 = g - Phi(0) - F(0),
 
-which leaves the solution set unchanged.  Substituting z = xi + F1(xi) turns
-the system into a fixed-point problem for T(z) = -Phi1(Pinv(z)) + g1, where
-Pinv is the continuation inverse of xi + F1(xi).  T is iterated n0 times from
-z = g1; its m-fold composition contracts with factor alpha = M^m/sqrt((m-1)!),
-so the iteration error after n0 = m*d + h0 steps is at most (C1 + C2)*beta^d
-(all constants below).  One solve costs at most (n0+1)^(N+1) kernel-map
-evaluations, counted exactly by the configuration's operation tally.
+which leaves the solution set unchanged; the shift is computed once per
+system (:attr:`vfsolve.discrete.DiscreteSystem.shift`).  Substituting
+z = xi + F1(xi) turns the system into a fixed-point problem for
+T(z) = -Phi1(Pinv(z)) + g1, where Pinv is the continuation inverse of
+xi + F1(xi).  T is iterated n0 times from z = g1; its m-fold composition
+contracts with factor alpha = M^m/sqrt((m-1)!), so the iteration error
+after n0 = m*d + h0 steps is at most (C1 + C2)*beta^d (all constants
+below).  One solve costs at most (n0+1)^(N+1) kernel-map evaluations,
+counted exactly by the configuration's operation tally.
 
 :func:`derive_params` turns declared constants (M, L, ||g1||, eps) into the
 counts N, m, n_prime and n0; any count can be pinned instead to reproduce a
@@ -253,16 +255,14 @@ def fixed_point_error(params: SolverParams, k: int, anchor_gap: float) -> float:
 
 
 def shift_parts(sys: discrete.DiscreteSystem):
-    """(Phi(0), F(0), g1) with g1 = g - Phi(0) - F(0)."""
-    zero = np.zeros(sys.dim)
-    phi0 = discrete.phi(sys, zero)
-    f0 = discrete.fred(sys, zero)
-    return phi0, f0, sys.g_vec - phi0 - f0
+    """(Phi(0), F(0), g1) with g1 = g - Phi(0) - F(0), computed once per
+    system (:attr:`vfsolve.discrete.DiscreteSystem.shift`), read-only."""
+    return sys.shift
 
 
 def prepare(sys: discrete.DiscreteSystem, eps: float, **overrides) -> SolverParams:
     """Derive params for a system using the shifted forcing norm ||g1||."""
-    _, _, g1 = shift_parts(sys)
+    _, _, g1 = sys.shift
     return derive_params(
         sys.problem.M, sys.problem.L, discrete.norm(sys, g1), eps, **overrides
     )
@@ -286,7 +286,7 @@ def solve(
             "params do not match the system: "
             f"q={params.q} but L/N={sys.problem.L / params.N}"
         )
-    phi0, f0, g1 = shift_parts(sys)
+    phi0, f0, g1 = sys.shift
     if not np.isfinite(g1).all():
         raise ValueError("state vector contains non-finite entries")
     g1_norm = discrete.norm(sys, g1)

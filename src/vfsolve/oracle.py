@@ -8,13 +8,32 @@ from the kernel tables at xi and at bumped = xi + step:
     J = diag(bumped - xi)/step + (V o mask o dk1 + dk2 diag(w)) / step
 
 where dk is a kernel table at bumped minus the table at xi, V and w are the
-Volterra and global weights, and mask drops the clamped (s_j > t_i) cells:
-four kernel evaluations in place of dim + 1 system maps.  If a kernel raises
-or J comes out non-finite, the Jacobian is rebuilt column by column from
-system maps, so failures raise exactly the errors the system maps raise.
+Volterra and global weights, and mask drops the clamped (s_j > t_i) cells.
+
+Shared tables.  An iteration builds each kernel's table at xi once, for the
+residual and the Jacobian alike: the system map writes k1's rows into the
+Jacobian's buffer and keeps k2's whole table, and the Jacobian then builds
+only the tables at bumped, four tables in all in place of dim + 1 system
+maps.  Rows are formed in blocks of about 16,384 cells (40 rows at dim 400,
+whole tables up to dim 128), which stay in cache through the Jacobian's
+passes over them, in buffers allocated once per solve.  phi's rows are
+summed a block at a time, fred's come from k2's whole table (BLAS rounds a
+matrix-vector product on a few rows differently), and the arithmetic is the
+whole-table maps' and Jacobian's, so every iterate is bit-identical to them.
+
+Replays.  Where a phi or fred row comes out non-finite or anything raises
+(a kernel, a factor, a numpy warning under ``python -W error``), the map is
+replayed through :func:`vfsolve.discrete.phi` and
+:func:`vfsolve.discrete.fred`, which raise their own errors; if they
+return, the Jacobian builds its tables at xi itself.  If a kernel raises
+while the Jacobian is built, or J comes out non-finite, J is rebuilt column
+by column from system maps, so failures raise exactly the errors the system
+maps raise.  Under the default warning filter a numpy warning may print
+from this module before such an error.
+
 Deliberately shares no iteration machinery with the continuation solver so
-the two can check each other; the common code is the kernels, the weight
-tables and the kernel-table builders of :mod:`vfsolve.discrete`.  No
+the two can check each other; the common code is the kernels, their
+separable forms and the weight tables of :mod:`vfsolve.discrete`.  No
 globalization: the systems in scope are contraction-dominated, and
 divergence is reported rather than repaired.
 """
@@ -31,6 +50,8 @@ __all__ = ["NewtonConfig", "NewtonError", "newton_solve", "jacobian_check", "DIM
 
 DIM_CAP = 1000
 _CHECK_DIM_CAP = 60
+# cells in a row block of the Jacobian: 40 rows at dim 400, whole tables to dim 128
+_BLOCK_CELLS = 16_384
 
 
 class NewtonError(RuntimeError):
@@ -62,8 +83,8 @@ def _column_jacobian(
     """Forward differences one column at a time: dim system maps.
 
     ``base`` is ``_system_map(sys, at)``.  The reference for
-    :func:`jacobian_check`, and the replay that gives :func:`_fd_jacobian`
-    the system maps' exact errors.
+    :func:`jacobian_check`, and the replay that gives the shared-table
+    Jacobian the system maps' exact errors.
     """
     jac = np.empty((sys.dim, sys.dim))
     for j in range(sys.dim):
@@ -73,38 +94,144 @@ def _column_jacobian(
     return jac
 
 
-def _entrywise_jacobian(
-    sys: discrete.DiscreteSystem, at: np.ndarray, step: float
-) -> np.ndarray:
-    bumped = at + step
-    # a bump that rounds away leaves its column exactly zero, as in the
-    # column loop
-    diag = (bumped - at) / step
-    jac = np.subtract(discrete.k1_table(sys, bumped), discrete.k1_table(sys, at))
-    np.copyto(jac, 0.0, where=~sys.volterra_mask)  # clamped cells may be non-finite
-    jac *= sys.scheme.volterra_weights
-    dk2 = np.subtract(discrete.k2_table(sys, bumped), discrete.k2_table(sys, at))
-    dk2 *= sys.scheme.global_weights
-    jac += dk2
-    jac /= step
-    jac.flat[:: sys.dim + 1] += diag
-    return jac
+class _SharedTables:
+    """One solve's buffers, and the kernel tables at the state last mapped.
 
+    :meth:`system_map` writes k1's rows at xi into the Jacobian's buffer, a
+    row block at a time, and keeps k2's whole table; :meth:`jacobian` then
+    builds only the tables at xi + step.  Tables are built as
+    :func:`vfsolve.discrete.k1_table` builds them: from the kernel's separable
+    form, here rows at a time (c_r on the block's (t, s) cells, e_r on the
+    state's row once), or whole from the kernel where there is no form or a
+    factor raises.
+    """
 
-def _fd_jacobian(
-    sys: discrete.DiscreteSystem, at: np.ndarray, step: float, base: np.ndarray
-) -> np.ndarray:
-    """Forward-difference Jacobian at ``at``; ``base`` is ``_system_map(sys, at)``."""
-    try:
-        with np.errstate(invalid="ignore", over="ignore"):
-            jac = _entrywise_jacobian(sys, at, step)
-    except Exception:  # a kernel may raise anything
-        jac = None
-    if jac is not None and np.isfinite(jac).all():
-        return jac
-    # the column loop raises the system maps' own errors and warnings, or
-    # returns the Jacobian they give
-    return _column_jacobian(sys, at, step, base)
+    def __init__(self, sys: discrete.DiscreteSystem, step: float):
+        dim = sys.dim
+        self.sys, self.step = sys, step
+        self.rows = max(1, min(dim, _BLOCK_CELLS // dim))
+        self.jac = np.empty((dim, dim))
+        self.scratch = np.empty((self.rows, dim))
+        # the c_r that raise on k1's table leave k1 to build its tables
+        self.k1_terms = None if sys.k1_split is None else sys.k1_terms
+        self.k2_buf = None if sys.k2_split is None else np.empty((dim, dim))
+        self.unmasked = ~sys.volterra_mask
+        self.at = self.k2_at = None
+
+    def _blocks(self):
+        dim = self.sys.dim
+        for r0 in range(0, dim, self.rows):
+            yield r0, min(r0 + self.rows, dim)
+
+    def _source(self, which: str, v: np.ndarray):
+        """The kernel's table at ``v``: its form's (c_r, e_r row) terms, or
+        the kernel's own whole table."""
+        terms = self.k1_terms if which == "k1" else self.sys.k2_split
+        if terms is not None:
+            s, x = self.sys.scheme.nodes[None, :], v[None, :]
+            try:
+                return [(c, e(s, x)) for c, e in terms]
+            except Exception:  # the kernel builds this table, as in k1_table
+                pass
+        return discrete._kernel_call(self.sys, which, v)
+
+    def _rows(self, source, r0: int, r1: int, out: np.ndarray) -> None:
+        """Rows r0:r1 of a :meth:`_source` table, written into ``out``."""
+        if not isinstance(source, list):
+            np.copyto(out, source[r0:r1])
+            return
+        nodes, s_mesh = self.sys.scheme.nodes, self.sys.s_mesh_volterra
+        for i, (c, e_row) in enumerate(source):
+            if isinstance(c, np.ndarray):  # k2's c_r tables are kept whole
+                c_rows = c[r0:r1]
+            else:
+                c_rows = discrete._kernel_table(
+                    c(nodes[r0:r1, None], s_mesh[r0:r1]), out.shape
+                )
+            if i == 0:
+                np.multiply(c_rows, e_row, out=out)
+            else:
+                out += c_rows * e_row
+
+    def _tables_at(self, v: np.ndarray, phi: np.ndarray | None = None) -> bool:
+        """k1's rows at ``v`` into the Jacobian's buffer, phi's rows into
+        ``phi`` if given, and k2's table kept; False if phi is non-finite."""
+        sys = self.sys
+        k1 = self._source("k1", v)
+        for r0, r1 in self._blocks():
+            rows = self.jac[r0:r1]
+            self._rows(k1, r0, r1, rows)
+            if phi is not None:  # discrete._volterra_sum, a row block at a time
+                cells = self.scratch[: r1 - r0]
+                cells.fill(0.0)
+                np.multiply(
+                    sys.scheme.volterra_weights[r0:r1], rows,
+                    out=cells, where=sys.volterra_mask[r0:r1],
+                )
+                cells.sum(axis=-1, out=phi[r0:r1])
+        if phi is not None and not np.isfinite(phi).all():
+            return False
+        k2 = self._source("k2", v)
+        if isinstance(k2, list):
+            self._rows(k2, 0, sys.dim, self.k2_buf)
+            k2 = self.k2_buf
+        self.k2_at = k2
+        return True
+
+    def system_map(self, xi: np.ndarray) -> np.ndarray:
+        """:func:`_system_map` at ``xi``, bit-identically, from the shared
+        tables; a state they cannot take is replayed through
+        :func:`_system_map`, which raises its own errors."""
+        sys = self.sys
+        self.at = None
+        try:
+            phi = np.empty(sys.dim)
+            if self._tables_at(discrete._as_state(sys, xi), phi):
+                fred = self.k2_at @ sys.scheme.global_weights
+                if np.isfinite(fred).all():
+                    mapped = xi + phi + fred
+                    self.at = xi
+                    return mapped
+        except Exception:  # a kernel may raise anything, warnings too (-W error)
+            pass
+        return _system_map(sys, xi)
+
+    def jacobian(self, at: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """Forward-difference Jacobian at ``at``; ``base`` is
+        ``self.system_map(at)``.  Each row block makes the whole-table
+        formula's operations in its order, then the diagonal is added."""
+        sys, step = self.sys, self.step
+        jac = self.jac
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                if self.at is not at:  # the map was replayed
+                    self._tables_at(at)
+                self.at = None  # the Jacobian takes the place of k1's rows
+                bumped = at + step
+                # a bump that rounds away leaves its column exactly zero, as in
+                # the column loop
+                diag = (bumped - at) / step
+                k1, k2 = self._source("k1", bumped), self._source("k2", bumped)
+                for r0, r1 in self._blocks():
+                    rows, bumped_rows = jac[r0:r1], self.scratch[: r1 - r0]
+                    self._rows(k1, r0, r1, bumped_rows)
+                    np.subtract(bumped_rows, rows, out=rows)
+                    # clamped cells may be non-finite
+                    np.copyto(rows, 0.0, where=self.unmasked[r0:r1])
+                    rows *= sys.scheme.volterra_weights[r0:r1]
+                    self._rows(k2, r0, r1, bumped_rows)
+                    bumped_rows -= self.k2_at[r0:r1]
+                    bumped_rows *= sys.scheme.global_weights
+                    rows += bumped_rows
+                    rows /= step
+                jac.flat[:: sys.dim + 1] += diag
+        except Exception:  # a kernel may raise anything
+            jac = None
+        if jac is not None and np.isfinite(jac).all():
+            return jac
+        # the column loop raises the system maps' own errors and warnings, or
+        # returns the Jacobian they give
+        return _column_jacobian(sys, at, step, base)
 
 
 def newton_solve(
@@ -123,25 +250,25 @@ def newton_solve(
             f"system dimension {sys.dim} exceeds the dense-Jacobian cap {DIM_CAP}"
         )
     xi = sys.g_vec.copy() if start is None else np.asarray(start, dtype=float).copy()
+    tables = _SharedTables(sys, cfg.fd_step)
     res = np.inf
     for _ in range(cfg.max_iter):
-        mapped = _system_map(sys, xi)
+        mapped = tables.system_map(xi)
         defect = mapped - sys.g_vec
         res = discrete.norm(sys, defect)
         if res <= cfg.residual_tol:
             return xi
-        jac = _fd_jacobian(sys, xi, cfg.fd_step, mapped)
+        jac = tables.jacobian(xi, mapped)
         try:
             delta = np.linalg.solve(jac, defect)
         except np.linalg.LinAlgError as exc:
             raise NewtonError(f"singular Jacobian: {exc}") from None
-        del jac  # free it before the next one is built
         xi = xi - delta
         if not np.all(np.isfinite(xi)):
             raise NewtonError(
                 f"iteration diverged to non-finite values (residual was {res:.3e})"
             )
-    defect = _system_map(sys, xi) - sys.g_vec
+    defect = tables.system_map(xi) - sys.g_vec
     res = discrete.norm(sys, defect)
     if res <= cfg.residual_tol:
         return xi
@@ -167,7 +294,8 @@ def jacobian_check(
             f"jacobian_check is limited to dim <= {_CHECK_DIM_CAP}, got {sys.dim}"
         )
     at = np.asarray(at, dtype=float)
-    base = _system_map(sys, at)
-    entrywise = _fd_jacobian(sys, at, cfg.fd_step, base)
+    tables = _SharedTables(sys, cfg.fd_step)
+    base = tables.system_map(at)
+    entrywise = tables.jacobian(at, base)
     columns = _column_jacobian(sys, at, cfg.fd_step, base)
     return float(np.max(np.abs(entrywise - columns)))

@@ -215,6 +215,14 @@ def test_solve_newton_override(tmp_path, capsys):
     assert float(printed["residual"]) < 1e-12
 
 
+def test_solve_newton_default_config_bytes(tmp_path, capsys):
+    out = tmp_path / "newton.csv"
+    assert cmd_solve(str(CONFIGS / "default.ini"), out=str(out), method="newton") == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "39846fc736b51501f03ac43ceed1eb33aed4ff39604584fb2aee31ec18e22622"
+    )
+
+
 def test_solve_audit_failure_exits_3(tmp_path, capsys):
     # declared Fredholm Lipschitz constant far below the kernel's true one
     path = write_ini(

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from vfsolve import discrete
 from vfsolve.continuation import ContinuationConfig, SolverError, inner_bound, p_inverse
 from vfsolve.discrete import build_system, fred, norm, phi, residual
 from vfsolve.hybrid import (
@@ -233,6 +234,28 @@ def test_shift_parts_benchmark(bench):
     assert np.max(np.abs(phi0 - 2.5 * bench.scheme.nodes**3)) < 5 * bench.grid.h**2
     assert np.allclose(g1, bench.g_vec - phi0)
     assert norm(bench, g1) == pytest.approx(G1_NORM, rel=1e-12)
+
+
+def test_shift_is_computed_once_per_system(monkeypatch):
+    sys_ = build_system(benchmark_problem(), build_scheme(make_grid(0.0, 1.0, 10), "midpoint"))
+    parts = shift_parts(sys_)
+    assert all(not part.flags.writeable for part in parts)
+    maps = {"phi": 0, "fred": 0}
+
+    def counted(name, fn):
+        def mapped(system, xi):
+            maps[name] += 1
+            return fn(system, xi)
+        return mapped
+
+    monkeypatch.setattr(discrete, "phi", counted("phi", discrete.phi))
+    monkeypatch.setattr(discrete, "fred", counted("fred", discrete.fred))
+    params = prepare(sys_, 1e-1)
+    assert shift_parts(sys_) is parts
+    sol = solve(sys_, params)
+    # the outer steps' phi, the residual's phi and fred: no map at zero
+    assert maps == {"phi": params.n0 + 1, "fred": 1}
+    assert sol.budget.op_count == (params.n0 + 1) ** (params.N + 1) - 1
 
 
 def test_prepare_uses_shifted_norm(bench):

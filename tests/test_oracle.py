@@ -1,9 +1,12 @@
 import dataclasses
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
-from vfsolve.discrete import build_system, norm, residual
+from vfsolve import oracle
+from vfsolve.discrete import build_system, k1_table, k2_table, norm, residual
 from vfsolve.expr import EvalDomainError
 from vfsolve.oracle import NewtonConfig, NewtonError, jacobian_check, newton_solve
 from vfsolve.problem import benchmark_problem, default_x_box, from_expressions
@@ -132,8 +135,9 @@ def test_jacobian_calls_each_kernel_twice():
     sys_ = _benchmark_system(10, "trapezoid", prob=prob)
     with pytest.raises(NewtonError, match="within 1 iterations"):
         newton_solve(sys_, NewtonConfig(max_iter=1, residual_tol=1e-300))
-    # system map, Jacobian at xi and xi + step, system map after the loop
-    assert calls == {"k1": 4, "k2": 4}
+    # system map (its tables at xi serve the Jacobian too), Jacobian at
+    # xi + step, system map after the loop
+    assert calls == {"k1": 3, "k2": 3}
 
 
 def test_no_convergence_reports_last_residual(bench):
@@ -183,3 +187,217 @@ def test_jacobian_check_dim_cap(bench):
     sys_ = _system("0", "0", n=61)
     with pytest.raises(ValueError, match="dim <= 60"):
         jacobian_check(sys_, np.zeros(61))
+
+
+# --- Newton's bytes: xi, its Jacobians and its errors ------------------------
+
+def _sha(xi):
+    return hashlib.sha256(xi.tobytes()).hexdigest()
+
+
+# the refinement grids of ``vfsolve convergence benchmark`` (midpoint, half-cell rows)
+REFINEMENT_DIGESTS = {
+    25: "f17e5dd3126d11f1859866d2af8b490c98e85296bb7e96e442d4f9aaab7ea5b5",
+    50: "3ea9c3a1e4e721de21fa7060c1518a55f1c40c1c26fc74b713c3a04ee6db24a2",
+    100: "7f873508fceca00a16225fff593776100a8b6e1e5f3d5d6f84acc409c569d5b6",
+    200: "9445347c2ab1eadd5297ee331c662f0448d6d39692fa7ba08b5753021b4fbb4c",
+    400: "d54ed8cde4cc0d4a3ecd99f75e413f2d2a68ac94d3f34a302cfaf6ecdf993a18",
+}
+
+
+@pytest.mark.parametrize("cells", sorted(REFINEMENT_DIGESTS))
+def test_newton_bytes_on_the_refinement_grids(cells):
+    assert _sha(newton_solve(_benchmark_system(cells))) == REFINEMENT_DIGESTS[cells]
+
+
+def _expression_benchmark():
+    return from_expressions(
+        0.0, 1.0, k1_src="5*t*s*cos(x)", k2_src="(11/2)*t^2*s^2*x",
+        g_src="(11/8)*t^2 - 4*t + 5*t*cos(t) + 5*t^2*sin(t)",
+        M=float(np.sqrt(25.0 / 18.0)), L=1.1, exact_src="t",
+    )
+
+
+def _termless_benchmark():
+    bp = benchmark_problem()
+    return dataclasses.replace(
+        bp, k1=lambda t, s, x: bp.k1(t, s, x), k2=lambda t, s, x: bp.k2(t, s, x),
+        k1_terms=None, k2_terms=None,
+    )
+
+
+FORMS = {
+    "builtin": benchmark_problem,
+    "expression": _expression_benchmark,
+    "termless": _termless_benchmark,
+}
+# the builtin's form repeats its kernels' last products: both give the same bytes
+_BUILTIN_40 = {
+    "midpoint-full_cell": "728ce6a23d00dcdac4a930a324419e742c446e530d0b6a65cff0c55b42c79b9c",
+    "midpoint-half_cell": "eee19ce0c458143b7f3b695bf25c493167068a5d4e3bea459b724fe94d31b395",
+    "trapezoid": "6f6e5aaceff3936d9315029bb09d66ec0c64fe14a2d2c8843f77a1549e0af54f",
+    "simpson": "73f010ee2164bd81d36ec6963e990408d402838650f64ca817cad6373feb5ad3",
+}
+SCHEME_DIGESTS_40 = {
+    "builtin": _BUILTIN_40,
+    "termless": _BUILTIN_40,
+    "expression": {
+        "midpoint-full_cell": "3839ccc8498a7021999045dcbf9611ffa8dbce6c36365f70e5565e7c08028e55",
+        "midpoint-half_cell": "9f94adb55e15dc8b041cc9e58a9ecf03fde615af99fcd057739131f99f5388c8",
+        "trapezoid": "e2e78d340ab0bd02a37ccdb84384a8a5dc5e99e23d21ab9db7f5f946e7d32434",
+        "simpson": "6ac7174e80a379284a891629b384bfd528f836623e85f98c1d41b88f08a3f6e7",
+    },
+}
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+@pytest.mark.parametrize("rule, rows", SCHEMES)
+def test_newton_bytes_on_every_scheme(form, rule, rows):
+    scheme = rule if rule != "midpoint" else f"{rule}-{rows}"
+    xi = newton_solve(_benchmark_system(40, rule, rows, prob=FORMS[form]()))
+    assert _sha(xi) == SCHEME_DIGESTS_40[form][scheme]
+
+
+def _whole_table_jacobian(sys_, at, step):
+    """The entrywise Jacobian built from whole kernel tables, the reference
+    for the row blocks."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        bumped = at + step
+        diag = (bumped - at) / step
+        jac = np.subtract(k1_table(sys_, bumped), k1_table(sys_, at))
+        np.copyto(jac, 0.0, where=~sys_.volterra_mask)
+        jac *= sys_.scheme.volterra_weights
+        dk2 = np.subtract(k2_table(sys_, bumped), k2_table(sys_, at))
+        dk2 *= sys_.scheme.global_weights
+        jac += dk2
+        jac /= step
+        jac.flat[:: sys_.dim + 1] += diag
+    return jac
+
+
+def _two_term_problem():
+    return from_expressions(
+        0.0, 1.0, k1_src="t*x + s*x^2", k2_src="(t*s/4)*x + (s/10)*x^2", g_src="t",
+        M=1.0, L=1.0,
+    )
+
+
+def _row0_inf_problem():
+    # trapezoid row 0 (t = a) has zero Volterra weight: its cells are clamped
+    bp = benchmark_problem()
+    k1 = lambda t, s, x: np.where(t == 0.0, np.inf, bp.k1(t, s, x))
+    return dataclasses.replace(bp, k1=k1, k1_terms=None)
+
+
+JACOBIAN_PROBLEMS = {
+    "builtin": benchmark_problem,
+    "two_terms": _two_term_problem,
+    "termless": _termless_benchmark,
+    "row0_inf": _row0_inf_problem,
+}
+
+
+# dims 10, 41 and 101: with 3-row blocks the last block is partial
+@pytest.mark.parametrize("rule, cells", [("midpoint", 10), ("trapezoid", 40), ("simpson", 100)])
+@pytest.mark.parametrize("name", sorted(JACOBIAN_PROBLEMS))
+@pytest.mark.parametrize("three_rows", [True, False], ids=["3-row-blocks", "default-blocks"])
+def test_newton_jacobians_match_whole_tables_bytewise(monkeypatch, rule, cells, name, three_rows):
+    if name == "row0_inf" and rule == "midpoint":
+        rule, cells = "trapezoid", 9
+    sys_ = _benchmark_system(cells, rule, prob=JACOBIAN_PROBLEMS[name]())
+    if name == "two_terms":
+        assert len(sys_.k1_split) == len(sys_.k2_split) == 2
+    if three_rows:
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", 3 * sys_.dim, raising=False)
+    factored = []
+    solve = np.linalg.solve
+
+    def spy(jac, rhs):
+        delta = solve(jac, rhs)
+        factored.append((jac.copy(), delta))
+        return delta
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    xi = newton_solve(sys_)
+    monkeypatch.undo()
+    assert residual(sys_, xi) <= 1e-12 and factored
+    at, step = sys_.g_vec, NewtonConfig().fd_step
+    for jac, delta in factored:
+        assert jac.tobytes() == _whole_table_jacobian(sys_, at, step).tobytes()
+        at = at - delta
+    assert np.array_equal(at, xi)
+
+
+def _k1_inf_above_half():
+    bp = benchmark_problem()
+    k1 = lambda t, s, x: np.where(x > 0.5, np.inf, bp.k1(t, s, x))
+    return dataclasses.replace(bp, k1=k1, k1_terms=None)
+
+
+def _k2_factor_fails_above_half():
+    # the form serves at xi; at xi + step its factor raises and the kernel,
+    # inf above 0.5, builds the table
+    def e(s, x):
+        if np.any(x > 0.5):
+            raise ArithmeticError("factor refuses x > 0.5")
+        return x
+
+    return dataclasses.replace(
+        benchmark_problem(),
+        k2=lambda t, s, x: np.where(x > 0.5, np.inf, 0.1 * t * s * x),
+        k2_terms=((lambda t, s: 0.1 * t * s, e),),
+    )
+
+
+def _wide_constant_k1():
+    # finite cells whose weighted row sums overflow on [0, 4]
+    return dataclasses.replace(
+        benchmark_problem(), a=0.0, b=4.0, k1=lambda t, s, x: 1.7e308 + 0.0 * x,
+        k1_terms=None,
+    )
+
+
+NEWTON_FAILURES = {
+    "k1_nonfinite_at_start": (
+        lambda: newton_solve(
+            _benchmark_system(10, prob=_k1_inf_above_half()), start=_boundary_start(0.75)
+        ),
+        {f: (ValueError, "volterra kernel k1 evaluated non-finite at mesh cell (i=3, j=3)")
+         for f in ("default", "error")},
+    ),
+    "k2_factor_raises_at_bump": (
+        lambda: newton_solve(
+            _benchmark_system(10, prob=_k2_factor_fails_above_half()),
+            start=_boundary_start(0.5),
+        ),
+        {f: (ValueError, "fredholm kernel k2 evaluated non-finite at mesh cell (i=0, j=3)")
+         for f in ("default", "error")},
+    ),
+    "ln_leaves_its_domain": (
+        # in the domain at the start; a Newton step crosses x = 0.5
+        lambda: newton_solve(
+            _system("0", "t*s*ln(0.5 - x)/10"), start=_boundary_start(0.49)
+        ),
+        {f: (EvalDomainError, "ln of a non-positive value in 'ln((0.5 - x))': "
+             "70 offending input point(s), first at index (0, 3)")
+         for f in ("default", "error")},
+    ),
+    "phi_row_sum_overflows": (
+        lambda: newton_solve(
+            build_system(_wide_constant_k1(), build_scheme(make_grid(0.0, 4.0, 10), "midpoint"))
+        ),
+        {"default": (ValueError, "vector contains non-finite entries"),
+         "error": (RuntimeWarning, "overflow encountered in reduce")},
+    ),
+}
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+@pytest.mark.parametrize("case", sorted(NEWTON_FAILURES))
+def test_newton_failures_keep_their_errors(case, action):
+    run, expected = NEWTON_FAILURES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(Exception) as info:
+            run()
+    assert (type(info.value), str(info.value)) == expected[action]
