@@ -340,6 +340,7 @@ def cmd_solve(config_path: str, out: str | None = None, method: str | None = Non
             xi, res = sol.xi, sol.residual
             _print_params(sol.params)
             print(f"op_count={sol.budget.op_count}")
+            print(f"maps_evaluated={sol.budget.maps_evaluated}")
         else:
             xi = newton_solve(sys_obj)
             res = residual(sys_obj, xi)

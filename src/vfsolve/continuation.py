@@ -12,7 +12,10 @@ from scratch, so with n0 steps per level a full :func:`p_inverse` costs
 exactly (n0+1)^N - 1 evaluations of F.  No memoization is
 performed — the complexity accounting of the surrounding solver assumes the
 recomputation, and correctness does not (each inner solve is started fresh
-from its own target).
+from its own target).  The outer loop in :func:`vfsolve.hybrid.solve` stops
+at the first outer iterate that repeats an earlier one bit for bit, so it
+may call :func:`p_inverse` fewer than n0 + 1 times; each call still makes
+the full recursion.
 
 ``F`` is any callable mapping a 1-d ndarray to one of the same shape;
 ``cfg.op_counter`` tallies its evaluations.  F need not check its output:

@@ -12,8 +12,14 @@ T(z) = -Phi1(Pinv(z)) + g1, where Pinv is the continuation inverse of
 xi + F1(xi).  T is iterated n0 times from z = g1; its m-fold composition
 contracts with factor alpha = M^m/sqrt((m-1)!), so the iteration error
 after n0 = m*d + h0 steps is at most (C1 + C2)*beta^d (all constants
-below).  One solve costs at most (n0+1)^(N+1) kernel-map evaluations,
-counted exactly by the configuration's operation tally.
+below).  The iteration makes (n0+1)^(N+1) - 1 kernel maps, the operation
+count; the budget caps it at (n0+1)^(N+1).
+
+T is a function of the bits of z, so once an iterate repeats an earlier one
+bit for bit, the rest of the iteration would recompute a cycle already
+seen: :func:`solve` stops there and returns the inverse the full loop would
+end on, bit for bit, having made fewer maps (``maps_evaluated``).  This
+assumes the kernels are functions of their arguments, as the paper's are.
 
 :func:`derive_params` turns declared constants (M, L, ||g1||, eps) into the
 counts N, m, n_prime and n0; any count can be pinned instead to reproduce a
@@ -134,18 +140,28 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """A-priori bounds and the measured operation count of one solve."""
+    """A-priori bounds and the operation counts of one solve.
+
+    ``op_count`` is the number of Phi/F maps of the paper's iteration whose
+    result the solve returns bit for bit; ``maps_evaluated`` is the number
+    it actually made, fewer when the outer iterates repeat (:func:`solve`).
+    """
 
     iteration_bound: float
     inner_bound_value: float
     discretization_note: str
     op_count: int
+    maps_evaluated: int
     op_bound: int
 
     def __post_init__(self):
         if self.op_count > self.op_bound:
             raise SolverError(
                 f"operation count {self.op_count} exceeded budget {self.op_bound}"
+            )
+        if self.maps_evaluated > self.op_count:
+            raise SolverError(
+                f"maps evaluated {self.maps_evaluated} exceed operation count {self.op_count}"
             )
 
 
@@ -275,11 +291,22 @@ def solve(
 ) -> Solution:
     """Run the full hybrid iteration and package the result.
 
+    Each outer iterate z^(t) is kept by its bytes, with Pinv(z^(t)).  When
+    z^(t) repeats an earlier z^(i) bit for bit, the iterates cycle with
+    period p = t - i from step i on, and the loop stops: it returns
+    Pinv(z^(i + (n0 - i) mod p)), the array the n0-step loop returns.  A
+    repeat is taken after the step's finiteness check, norm update and
+    callback, so the inner bound is unchanged and nothing skipped could
+    have raised.  Kernels with side effects see fewer calls, and under an
+    ``"always"`` warnings filter the skipped steps' warnings are not shown.
+
     ``outer_callback(t, z)``, if given, observes the outer iterates z^(0) ...
-    z^(n0).  Operation counting covers the iteration's Phi/F evaluations; the
-    shift setup and final diagnostics are excluded.  Raises ValueError when
-    ``params`` were derived for another system: q, alpha or g_norm differ
-    from L/N, M^m/sqrt((m-1)!) or ||g1||.
+    z^(n0), the skipped ones as copies of the stored cycle.  ``op_count``
+    counts the iteration's Phi/F maps whose result is returned, skipped ones
+    included, so it is (n0+1)^(N+1) - 1; ``maps_evaluated`` counts those
+    made.  The shift setup and final diagnostics are excluded from both.
+    Raises ValueError when ``params`` were derived for another system: q,
+    alpha or g_norm differ from L/N, M^m/sqrt((m-1)!) or ||g1||.
     """
     if abs(params.q - sys.problem.L / params.N) > 1e-12:
         raise ValueError(
@@ -313,22 +340,35 @@ def solve(
             raise
 
     cfg = ContinuationConfig(params.N, params.q, params.n0)
-    outer_ops = 0
+    n0 = params.n0
     z = g1.copy()
     z_norm = g1_norm  # the largest target norm; the inner bound scales with it
     if outer_callback is not None:
         outer_callback(0, z.copy())
-    for t in range(params.n0):
-        xi_t = p_inverse(z)
-        z = -(discrete.phi(sys, xi_t) - phi0) + g1
-        outer_ops += 1
+    zs, xis, first = [z], [], {z.tobytes(): 0}  # z^(i), Pinv(z^(i)), bytes -> i
+    for t in range(1, n0 + 1):
+        xis.append(p_inverse(z))
+        z = -(discrete.phi(sys, xis[-1]) - phi0) + g1
         if not np.isfinite(z).all():
-            raise SolverError(f"non-finite outer iterate at step {t + 1}")
+            raise SolverError(f"non-finite outer iterate at step {t}")
         z_norm = max(z_norm, discrete.norm(sys, z))
         if outer_callback is not None:
-            outer_callback(t + 1, z.copy())
-    xi = p_inverse(z)
+            outer_callback(t, z.copy())
+        i = first.setdefault(z.tobytes(), t)
+        if i < t:  # z^(t) repeats z^(i): from step i on, z has period t - i
+            if outer_callback is not None:
+                for s in range(t + 1, n0 + 1):
+                    outer_callback(s, zs[i + (s - i) % (t - i)].copy())
+            xi = xis[i + (n0 - i) % (t - i)]
+            break
+        zs.append(z)
+    else:
+        xi = p_inverse(z)
+        xis.append(xi)
 
+    maps_evaluated = cfg.op_counter + t  # the inverses' maps and one Phi a step
+    inverse_maps = cfg.op_counter // len(xis)  # the same for every inverse
+    skipped = (n0 + 1 - len(xis)) * inverse_maps + (n0 - t)
     budget = ErrorBudget(
         iteration_bound=iteration_bound(params),
         inner_bound_value=continuation.inner_bound(cfg, z_norm),
@@ -336,7 +376,8 @@ def solve(
             f"quadrature truncation error not included: O(h^{sys.scheme.order}) "
             f"for the {sys.scheme.rule} rule, vanishing as the grid is refined"
         ),
-        op_count=cfg.op_counter + outer_ops,
+        op_count=maps_evaluated + skipped,
+        maps_evaluated=maps_evaluated,
         op_bound=op_budget(params),
     )
     per_node = None

@@ -3,9 +3,11 @@
 End-to-end checks of the whole pipeline — quadrature, discrete system,
 hybrid continuation solver, a-priori bounds, Newton oracle, parser — on the
 builtin benchmark problem (exact solution x(t) = t on [0, 1]).  Heavy solves
-are shared through module-scoped fixtures, so the file runs in about 45 s on
+are shared through module-scoped fixtures, so the file runs in about 11 s on
 a 2-CPU x86 host; most of it is the criterion-3 fixture's four continuation
-solves (about 1.58 M maps), and most of those are the doubled-budget run.
+solves (about 1.58 M maps of the paper's iteration, of which about 0.44 M are
+evaluated: the outer loop stops at a bitwise repeat), and most of those are
+the doubled-budget run.
 """
 
 import hashlib

@@ -166,6 +166,8 @@ def test_solve_reference_config(tmp_path, capsys):
     printed = kv_lines(capsys.readouterr().out)
     assert printed["n0"] == "55"
     assert printed["op_budget"] == "175616"
+    # z^(27) repeats z^(26): 27 inverses of 3,135 maps and 27 Phi maps ran
+    assert (printed["op_count"], printed["maps_evaluated"]) == ("175615", "84672")
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 50

@@ -1,11 +1,13 @@
 import dataclasses
+import hashlib
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vfsolve import discrete
+from vfsolve import cli, continuation, discrete
 from vfsolve.continuation import ContinuationConfig, SolverError, inner_bound, p_inverse
 from vfsolve.discrete import build_system, fred, norm, phi, residual
 from vfsolve.hybrid import (
@@ -27,6 +29,7 @@ from vfsolve.quadrature import build_scheme, make_grid
 M_BENCH = math.sqrt(25.0 / 18.0)
 L_BENCH = 1.1
 G1_NORM = 1.026854158495861  # ||g - Phi(0) - F(0)|| on the h=1/50 midpoint grid
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _coeff(M, k):
@@ -221,7 +224,12 @@ def test_error_budget_enforces_op_bound():
     with pytest.raises(SolverError, match="exceeded budget"):
         ErrorBudget(
             iteration_bound=1.0, inner_bound_value=1.0,
-            discretization_note="", op_count=5, op_bound=4,
+            discretization_note="", op_count=5, maps_evaluated=5, op_bound=4,
+        )
+    with pytest.raises(SolverError, match=r"^maps evaluated 5 exceed operation count 4$"):
+        ErrorBudget(
+            iteration_bound=1.0, inner_bound_value=1.0,
+            discretization_note="", op_count=4, maps_evaluated=5, op_bound=4,
         )
 
 
@@ -236,11 +244,9 @@ def test_shift_parts_benchmark(bench):
     assert norm(bench, g1) == pytest.approx(G1_NORM, rel=1e-12)
 
 
-def test_shift_is_computed_once_per_system(monkeypatch):
-    sys_ = build_system(benchmark_problem(), build_scheme(make_grid(0.0, 1.0, 10), "midpoint"))
-    parts = shift_parts(sys_)
-    assert all(not part.flags.writeable for part in parts)
-    maps = {"phi": 0, "fred": 0}
+def _count_maps(monkeypatch, *names):
+    """Count the calls of each ``discrete.<name>``; returns the live tally."""
+    maps = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def mapped(system, xi):
@@ -248,13 +254,30 @@ def test_shift_is_computed_once_per_system(monkeypatch):
             return fn(system, xi)
         return mapped
 
-    monkeypatch.setattr(discrete, "phi", counted("phi", discrete.phi))
-    monkeypatch.setattr(discrete, "fred", counted("fred", discrete.fred))
+    for name in names:
+        monkeypatch.setattr(discrete, name, counted(name, getattr(discrete, name)))
+    return maps
+
+
+def _first_repeat(zs):
+    """(i, period) for the first z^(t) equal to an earlier z^(i), or None."""
+    return next(((zs.index(z), t - zs.index(z)) for t, z in enumerate(zs) if zs.index(z) < t), None)
+
+
+def test_shift_is_computed_once_per_system(monkeypatch):
+    sys_ = build_system(benchmark_problem(), build_scheme(make_grid(0.0, 1.0, 10), "midpoint"))
+    parts = shift_parts(sys_)
+    assert all(not part.flags.writeable for part in parts)
+    maps = _count_maps(monkeypatch, "phi", "fred")
     params = prepare(sys_, 1e-1)
     assert shift_parts(sys_) is parts
-    sol = solve(sys_, params)
-    # the outer steps' phi, the residual's phi and fred: no map at zero
-    assert maps == {"phi": params.n0 + 1, "fred": 1}
+    zs = []
+    sol = solve(sys_, params, outer_callback=lambda t, z: zs.append(z.tobytes()))
+    # the phi of each outer step up to the first repeated iterate, if any, and
+    # the residual's phi and fred: no map at zero
+    repeat = _first_repeat(zs)
+    steps = sum(repeat) if repeat else params.n0
+    assert maps == {"phi": steps + 1, "fred": 1}
     assert sol.budget.op_count == (params.n0 + 1) ** (params.N + 1) - 1
 
 
@@ -310,6 +333,108 @@ def test_inner_bound_value_covers_every_inner_solve(bench):
     xi = p_inverse(F1, zs[-1], cfg)
     assert np.array_equal(xi, sol.xi)
     assert norm(bench, xi + F1(xi) - zs[-1]) <= sol.budget.inner_bound_value
+
+
+def _full_outer_loop(sys, params, outer_callback):
+    """The outer loop as it ran before the repeat exit, all n0 steps of it.
+
+    Returns (xi, inner_bound_value, op_count, residual).
+    """
+    phi0, f0, g1 = sys.shift
+    g1_norm = discrete.norm(sys, g1)
+
+    def F1(v):
+        out = discrete.fred_unchecked(sys, v)
+        out -= f0
+        return out
+
+    def p_inverse(z):
+        try:
+            return continuation.p_inverse(F1, z, cfg)
+        except SolverError as err:
+            discrete.fred(sys, err.state)  # names a non-finite table cell, if any
+            raise
+
+    cfg = ContinuationConfig(params.N, params.q, params.n0)
+    outer_ops = 0
+    z = g1.copy()
+    z_norm = g1_norm  # the largest target norm; the inner bound scales with it
+    if outer_callback is not None:
+        outer_callback(0, z.copy())
+    for t in range(params.n0):
+        xi_t = p_inverse(z)
+        z = -(discrete.phi(sys, xi_t) - phi0) + g1
+        outer_ops += 1
+        if not np.isfinite(z).all():
+            raise SolverError(f"non-finite outer iterate at step {t + 1}")
+        z_norm = max(z_norm, discrete.norm(sys, z))
+        if outer_callback is not None:
+            outer_callback(t + 1, z.copy())
+    xi = p_inverse(z)
+    return (
+        xi, continuation.inner_bound(cfg, z_norm), cfg.op_counter + outer_ops,
+        discrete.residual(sys, xi),
+    )
+
+
+# name -> (rule, cells, n0, (i, period) of the first repeat of the full loop)
+REPEAT_CASES = {
+    "no repeat": ("midpoint", 10, 20, None),
+    "period 1": ("midpoint", 10, 24, (22, 1)),
+    "period 2": ("midpoint", 10, 28, (23, 2)),
+    "period 3": ("trapezoid", 10, 30, (25, 3)),
+    "repeat at z^(n0)": ("midpoint", 15, 26, (25, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(REPEAT_CASES))
+def test_repeat_exit_is_bit_identical_to_the_full_loop(name, monkeypatch):
+    rule, cells, n0, repeat = REPEAT_CASES[name]
+    sys_ = build_system(benchmark_problem(), build_scheme(make_grid(0.0, 1.0, cells), rule))
+    params = prepare(sys_, 1e-3, n0=n0)
+    full = []
+    xi, inner_value, op_count, res = _full_outer_loop(
+        sys_, params, lambda t, z: full.append((t, z.tobytes()))
+    )
+    assert _first_repeat([z for _, z in full]) == repeat
+    if name == "repeat at z^(n0)":
+        assert sum(repeat) == n0
+
+    maps = _count_maps(monkeypatch, "fred_unchecked", "phi")
+    seen = []
+    sol = solve(sys_, params, outer_callback=lambda t, z: seen.append((t, z.tobytes())))
+    assert sol.xi.tobytes() == xi.tobytes()
+    assert seen == full
+    budget = sol.budget
+    assert (budget.op_count, budget.inner_bound_value, sol.residual) == (op_count, inner_value, res)
+    assert budget.op_count == (n0 + 1) ** (params.N + 1) - 1
+    # the residual makes one phi and one fred (through fred_unchecked)
+    assert maps["fred_unchecked"] + maps["phi"] == budget.maps_evaluated + 2
+    if repeat is None:
+        assert budget.maps_evaluated == budget.op_count
+    else:  # steps 1 .. i + period ran, each one inverse and one phi
+        assert budget.maps_evaluated == sum(repeat) * (n0 + 1) ** params.N
+
+
+@pytest.mark.parametrize(
+    "config, n0, repeat, digest",
+    [
+        ("reference.ini", 80, (25, 2), "6bd0b4f241c64edf5bfc74abb95c7344f6454daf3d33bc3133521962ccd5e541"),
+        ("default.ini", 55, (25, 4), "08e262848241fd017c7179926ddba4be3c0565e6272ccc9450ce9ff7e9c0e9c7"),
+    ],
+    ids=["reference.ini-n0=80", "default.ini-n0=55"],
+)
+def test_repeat_exit_keeps_the_pinned_solution(config, n0, repeat, digest):
+    # digests of the full loop's xi; these runs stop at a cycle, not a fixed point
+    rc = cli.parse_config(str(CONFIGS / config))
+    sys_ = cli._system(rc)
+    zs = []
+    sol = solve(
+        sys_, prepare(sys_, rc.eps, n0=n0), outer_callback=lambda t, z: zs.append(z.tobytes())
+    )
+    assert len(zs) == n0 + 1
+    assert _first_repeat(zs) == repeat
+    assert hashlib.sha256(sol.xi.tobytes()).hexdigest() == digest
 
 
 def test_solve_rejects_mismatched_params(bench):
