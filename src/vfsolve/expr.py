@@ -10,7 +10,10 @@ a small closed language:
     variables:         t  s  x
 
 Precedence, tightest first: ``^``, unary minus, ``* /``, ``+ -``.  There is
-no implicit multiplication ("5t" is an error; write "5*t").
+no implicit multiplication ("5t" is an error; write "5*t").  Numbers and
+names are ASCII.  A parse nests at most :data:`MAX_DEPTH` levels and builds
+a tree at most :data:`MAX_DEPTH` levels deep, so that every recursive walk
+of a tree stays inside Python's recursion limit.
 
 Evaluation is IEEE double precision and total: a domain violation (log of a
 non-positive value, square root of a negative value, division by zero,
@@ -32,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import math
+import string
 
 import numpy as np
 
@@ -58,6 +62,11 @@ __all__ = [
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
+# the deepest a parse may nest (parentheses, calls, unary minuses, exponents)
+# and the deepest tree it may build: the parser takes about six Python frames
+# a level (about 610 at the limit), the tree walks one or two, inside the
+# default recursion limit of 1000
+MAX_DEPTH = 100
 VARIABLES = ("t", "s", "x")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -113,6 +122,10 @@ class Token:
 
 
 _OPERATORS = "+-*/^"
+# ASCII only: str.isdigit and str.isalpha accept other scripts' digits and letters
+_DIGITS = frozenset(string.digits)
+_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
 
 
 def tokenize(source: str) -> list[Token]:
@@ -128,16 +141,16 @@ def tokenize(source: str) -> list[Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and source[i] in _DIGITS:
                 i += 1
             if i < n and source[i] == ".":
                 dot = i
                 i += 1
-                if i >= n or not source[i].isdigit():
+                if i >= n or source[i] not in _DIGITS:
                     raise TokenizeError("malformed number literal", dot)
-                while i < n and source[i].isdigit():
+                while i < n and source[i] in _DIGITS:
                     i += 1
             if i < n and source[i] in "eE":
                 # consume an exponent only if it is well-formed; otherwise the
@@ -145,18 +158,18 @@ def tokenize(source: str) -> list[Token]:
                 j = i + 1
                 if j < n and source[j] in "+-":
                     j += 1
-                if j < n and source[j].isdigit():
+                if j < n and source[j] in _DIGITS:
                     i = j
-                    while i < n and source[i].isdigit():
+                    while i < n and source[i] in _DIGITS:
                         i += 1
             lexeme = source[start:i]
             if not math.isfinite(float(lexeme)):
                 raise TokenizeError("number literal out of range", start)
             tokens.append(Token("number", lexeme, start))
             continue
-        if c.isalpha() or c == "_":
+        if c in _NAME_START:
             start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
+            while i < n and source[i] in _NAME_CHARS:
                 i += 1
             tokens.append(Token("identifier", source[start:i], start))
             continue
@@ -232,6 +245,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
+        self.depths: dict[int, int] = {}  # tree depth by id() of each node built
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -251,25 +266,47 @@ class _Parser:
             raise ParseError(f"expected {what}, got {got}", where)
         return self.next()
 
+    def too_deep(self, tok: Token) -> ParseError:
+        return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", tok.position)
+
+    def nested(self, tok: Token, parse) -> Expr:
+        """``parse()`` one nesting level below ``tok``."""
+        if self.nesting == MAX_DEPTH:
+            raise self.too_deep(tok)
+        self.nesting += 1
+        node = parse()
+        self.nesting -= 1
+        return node
+
+    def build(self, tok: Token, cls, *fields) -> Expr:
+        """The node ``cls(*fields)``, made at ``tok``, if the tree stays
+        within MAX_DEPTH levels."""
+        depth = 1 + max(self.depths.get(id(f), 1) for f in fields if isinstance(f, Expr))
+        if depth > MAX_DEPTH:
+            raise self.too_deep(tok)
+        node = cls(*fields)
+        self.depths[id(node)] = depth
+        return node
+
     def expression(self) -> Expr:
         node = self.term()
         while (tok := self.peek()) and tok.kind == "operator" and tok.lexeme in "+-":
             self.next()
-            node = BinOp(tok.lexeme, node, self.term())
+            node = self.build(tok, BinOp, tok.lexeme, node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.unary()
         while (tok := self.peek()) and tok.kind == "operator" and tok.lexeme in "*/":
             self.next()
-            node = BinOp(tok.lexeme, node, self.unary())
+            node = self.build(tok, BinOp, tok.lexeme, node, self.unary())
         return node
 
     def unary(self) -> Expr:
         tok = self.peek()
         if tok and tok.kind == "operator" and tok.lexeme == "-":
             self.next()
-            return Neg(self.unary())
+            return self.build(tok, Neg, self.nested(tok, self.unary))
         return self.power()
 
     def power(self) -> Expr:
@@ -278,7 +315,7 @@ class _Parser:
         if tok and tok.kind == "operator" and tok.lexeme == "^":
             self.next()
             # right-associative; a unary exponent ("t^-2") is accepted
-            return BinOp("^", base, self.unary())
+            return self.build(tok, BinOp, "^", base, self.nested(tok, self.unary))
         return base
 
     def atom(self) -> Expr:
@@ -286,20 +323,20 @@ class _Parser:
         if tok.kind == "number":
             return Const(float(tok.lexeme))
         if tok.kind == "lparen":
-            node = self.expression()
+            node = self.nested(tok, self.expression)
             self.expect("rparen", "')'")
             return node
         if tok.kind == "identifier":
             name = tok.lexeme
             if name in FUNCTIONS:
                 self.expect("lparen", "'(' after function name")
-                arg = self.expression()
+                arg = self.nested(tok, self.expression)
                 if (nxt := self.peek()) and nxt.kind == "comma":
                     raise ParseError(
                         f"function {name!r} takes exactly one argument", nxt.position
                     )
                 self.expect("rparen", "')'")
-                return Call(name, arg)
+                return self.build(tok, Call, name, arg)
             if name in CONSTANTS:
                 return Const(CONSTANTS[name])
             if name in VARIABLES:
@@ -309,7 +346,11 @@ class _Parser:
 
 
 def parse(tokens: list[Token]) -> Expr:
-    """Parse a token stream into an :class:`Expr` tree."""
+    """Parse a token stream into an :class:`Expr` tree.
+
+    Raises :class:`ParseError`, with an offset, on bad syntax and where the
+    parse nests, or the tree gets, deeper than :data:`MAX_DEPTH` levels.
+    """
     parser = _Parser(tokens)
     node = parser.expression()
     if (tok := parser.peek()) is not None:

@@ -16,20 +16,22 @@ Jacobian's buffer and keeps k2's whole table, and the Jacobian then builds
 only the tables at bumped, four tables in all in place of dim + 1 system
 maps.  Rows are formed in blocks of about 16,384 cells (40 rows at dim 400,
 whole tables up to dim 128), which stay in cache through the Jacobian's
-passes over them, in buffers allocated once per solve.  phi's rows are
-summed a block at a time, fred's come from k2's whole table (BLAS rounds a
-matrix-vector product on a few rows differently), and the arithmetic is the
-whole-table maps' and Jacobian's, so every iterate is bit-identical to them.
+passes over them, in buffers allocated once per solve.  A separable form's
+c_r tables come from :mod:`vfsolve.discrete` (``k1_split``/``k2_split``)
+and are sliced to a block's rows.  phi's rows are summed a block at a
+time, fred's come from k2's whole table (BLAS rounds a matrix-vector
+product on a few rows differently), and the arithmetic is the whole-table
+maps' and Jacobian's, so every iterate is bit-identical to them.
 
 Replays.  Where a phi or fred row comes out non-finite or anything raises
 (a kernel, a factor, a numpy warning under ``python -W error``), the map is
 replayed through :func:`vfsolve.discrete.phi` and
 :func:`vfsolve.discrete.fred`, which raise their own errors; if they
-return, the Jacobian builds its tables at xi itself.  If a kernel raises
-while the Jacobian is built, or J comes out non-finite, J is rebuilt column
-by column from system maps, so failures raise exactly the errors the system
-maps raise.  Under the default warning filter a numpy warning may print
-from this module before such an error.
+return, the Jacobian at that state is built column by column from system
+maps.  So is J when a kernel raises while it is built or J comes out
+non-finite, so failures raise exactly the errors the system maps raise.
+Under the default warning filter a numpy warning may print from this
+module before such an error.
 
 Deliberately shares no iteration machinery with the continuation solver so
 the two can check each other; the common code is the kernels, their
@@ -100,10 +102,11 @@ class _SharedTables:
     :meth:`system_map` writes k1's rows at xi into the Jacobian's buffer, a
     row block at a time, and keeps k2's whole table; :meth:`jacobian` then
     builds only the tables at xi + step.  Tables are built as
-    :func:`vfsolve.discrete.k1_table` builds them: from the kernel's separable
-    form, here rows at a time (c_r on the block's (t, s) cells, e_r on the
-    state's row once), or whole from the kernel where there is no form or a
-    factor raises.
+    :func:`vfsolve.discrete.k1_table` builds them: from the c_r tables of
+    ``sys.k1_split``/``sys.k2_split``, sliced to the block's rows, and e_r on
+    the state's row once, or whole from the kernel where there is no form or
+    a factor raises.  A map replayed through :func:`_system_map` gets its
+    Jacobian from :func:`_column_jacobian`.
     """
 
     def __init__(self, sys: discrete.DiscreteSystem, step: float):
@@ -112,8 +115,6 @@ class _SharedTables:
         self.rows = max(1, min(dim, _BLOCK_CELLS // dim))
         self.jac = np.empty((dim, dim))
         self.scratch = np.empty((self.rows, dim))
-        # the c_r that raise on k1's table leave k1 to build its tables
-        self.k1_terms = None if sys.k1_split is None else sys.k1_terms
         self.k2_buf = None if sys.k2_split is None else np.empty((dim, dim))
         self.unmasked = ~sys.volterra_mask
         self.at = self.k2_at = None
@@ -124,13 +125,13 @@ class _SharedTables:
             yield r0, min(r0 + self.rows, dim)
 
     def _source(self, which: str, v: np.ndarray):
-        """The kernel's table at ``v``: its form's (c_r, e_r row) terms, or
-        the kernel's own whole table."""
-        terms = self.k1_terms if which == "k1" else self.sys.k2_split
-        if terms is not None:
+        """The kernel's table at ``v``: its form's (c_r table, e_r row)
+        terms, or the kernel's own whole table."""
+        split = self.sys.k1_split if which == "k1" else self.sys.k2_split
+        if split is not None:
             s, x = self.sys.scheme.nodes[None, :], v[None, :]
             try:
-                return [(c, e(s, x)) for c, e in terms]
+                return [(c, e(s, x)) for c, e in split]
             except Exception:  # the kernel builds this table, as in k1_table
                 pass
         return discrete._kernel_call(self.sys, which, v)
@@ -140,57 +141,42 @@ class _SharedTables:
         if not isinstance(source, list):
             np.copyto(out, source[r0:r1])
             return
-        nodes, s_mesh = self.sys.scheme.nodes, self.sys.s_mesh_volterra
         for i, (c, e_row) in enumerate(source):
-            if isinstance(c, np.ndarray):  # k2's c_r tables are kept whole
-                c_rows = c[r0:r1]
-            else:
-                c_rows = discrete._kernel_table(
-                    c(nodes[r0:r1, None], s_mesh[r0:r1]), out.shape
-                )
             if i == 0:
-                np.multiply(c_rows, e_row, out=out)
+                np.multiply(c[r0:r1], e_row, out=out)
             else:
-                out += c_rows * e_row
+                out += c[r0:r1] * e_row
 
-    def _tables_at(self, v: np.ndarray, phi: np.ndarray | None = None) -> bool:
-        """k1's rows at ``v`` into the Jacobian's buffer, phi's rows into
-        ``phi`` if given, and k2's table kept; False if phi is non-finite."""
+    def system_map(self, xi: np.ndarray) -> np.ndarray:
+        """:func:`_system_map` at ``xi``, bit-identically, from the shared
+        tables: k1's rows at ``xi`` go into the Jacobian's buffer and k2's
+        table is kept.  A state they cannot take is replayed through
+        :func:`_system_map`, which raises its own errors."""
         sys = self.sys
-        k1 = self._source("k1", v)
-        for r0, r1 in self._blocks():
-            rows = self.jac[r0:r1]
-            self._rows(k1, r0, r1, rows)
-            if phi is not None:  # discrete._volterra_sum, a row block at a time
-                cells = self.scratch[: r1 - r0]
+        self.at = None
+        try:
+            v = discrete._as_state(sys, xi)
+            phi = np.empty(sys.dim)
+            k1 = self._source("k1", v)
+            for r0, r1 in self._blocks():
+                rows, cells = self.jac[r0:r1], self.scratch[: r1 - r0]
+                self._rows(k1, r0, r1, rows)
+                # discrete._volterra_sum, a row block at a time
                 cells.fill(0.0)
                 np.multiply(
                     sys.scheme.volterra_weights[r0:r1], rows,
                     out=cells, where=sys.volterra_mask[r0:r1],
                 )
                 cells.sum(axis=-1, out=phi[r0:r1])
-        if phi is not None and not np.isfinite(phi).all():
-            return False
-        k2 = self._source("k2", v)
-        if isinstance(k2, list):
-            self._rows(k2, 0, sys.dim, self.k2_buf)
-            k2 = self.k2_buf
-        self.k2_at = k2
-        return True
-
-    def system_map(self, xi: np.ndarray) -> np.ndarray:
-        """:func:`_system_map` at ``xi``, bit-identically, from the shared
-        tables; a state they cannot take is replayed through
-        :func:`_system_map`, which raises its own errors."""
-        sys = self.sys
-        self.at = None
-        try:
-            phi = np.empty(sys.dim)
-            if self._tables_at(discrete._as_state(sys, xi), phi):
-                fred = self.k2_at @ sys.scheme.global_weights
+            if np.isfinite(phi).all():
+                k2 = self._source("k2", v)
+                if isinstance(k2, list):
+                    self._rows(k2, 0, sys.dim, self.k2_buf)
+                    k2 = self.k2_buf
+                fred = k2 @ sys.scheme.global_weights
                 if np.isfinite(fred).all():
                     mapped = xi + phi + fred
-                    self.at = xi
+                    self.at, self.k2_at = xi, k2
                     return mapped
         except Exception:  # a kernel may raise anything, warnings too (-W error)
             pass
@@ -201,12 +187,12 @@ class _SharedTables:
         ``self.system_map(at)``.  Each row block makes the whole-table
         formula's operations in its order, then the diagonal is added."""
         sys, step = self.sys, self.step
+        if self.at is not at:  # the map was replayed
+            return _column_jacobian(sys, at, step, base)
+        self.at = None  # the Jacobian takes the place of k1's rows
         jac = self.jac
         try:
             with np.errstate(invalid="ignore", over="ignore"):
-                if self.at is not at:  # the map was replayed
-                    self._tables_at(at)
-                self.at = None  # the Jacobian takes the place of k1's rows
                 bumped = at + step
                 # a bump that rounds away leaves its column exactly zero, as in
                 # the column loop
@@ -251,13 +237,14 @@ def newton_solve(
         )
     xi = sys.g_vec.copy() if start is None else np.asarray(start, dtype=float).copy()
     tables = _SharedTables(sys, cfg.fd_step)
-    res = np.inf
-    for _ in range(cfg.max_iter):
+    for it in range(cfg.max_iter + 1):
         mapped = tables.system_map(xi)
         defect = mapped - sys.g_vec
         res = discrete.norm(sys, defect)
         if res <= cfg.residual_tol:
             return xi
+        if it == cfg.max_iter:
+            break
         jac = tables.jacobian(xi, mapped)
         try:
             delta = np.linalg.solve(jac, defect)
@@ -268,10 +255,6 @@ def newton_solve(
             raise NewtonError(
                 f"iteration diverged to non-finite values (residual was {res:.3e})"
             )
-    defect = tables.system_map(xi) - sys.g_vec
-    res = discrete.norm(sys, defect)
-    if res <= cfg.residual_tol:
-        return xi
     raise NewtonError(
         f"no convergence within {cfg.max_iter} iterations; last residual {res:.3e}"
     )

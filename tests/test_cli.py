@@ -237,6 +237,20 @@ def test_solve_audit_failure_exits_3(tmp_path, capsys):
     assert "Lipschitz" in err
 
 
+def test_solve_audit_volterra_violation_exits_3(tmp_path, capsys):
+    # declared contraction constant far below the Volterra kernel's
+    path = write_ini(
+        tmp_path,
+        "[problem]\na = 0\nb = 1\nk1 = 5*t*s*x\nk2 = 0\ng = t\nM = 0.01\nL = 0.5\n"
+        "[quadrature]\ncells = 10\n[solver]\naudit = true\n",
+    )
+    assert cmd_solve(path, out=str(tmp_path / "never.csv")) == EXIT_AUDIT
+    assert capsys.readouterr().err == (
+        "assumption audit failed: volterra part exceeds the declared contraction "
+        "constant: observed 0.960274 > M = 0.01\n"
+    )
+
+
 def test_solve_audit_pass_proceeds(tmp_path):
     path = write_ini(tmp_path, CHEAP + "[solver]\naudit = true\nn0 = 8\n")
     # [solver] appears twice -> configparser duplicate error -> config error
@@ -429,6 +443,58 @@ def test_bound_depth_monotone_in_eps(tmp_path, capsys):
         depths.append(int(kv_lines(capsys.readouterr().out)["d"]))
     assert depths == sorted(depths)
     assert depths[0] < depths[-1]
+
+
+BAD_FIELDS = {
+    "unknown rule": (
+        MINIMAL + "[quadrature]\nrule = gauss\n",
+        "field 'rule' must be one of ('midpoint', 'trapezoid', 'simpson'), got 'gauss'",
+    ),
+    "unknown method": (
+        MINIMAL + "[solver]\nmethod = bisection\n",
+        "field 'method' must be continuation or newton, got 'bisection'",
+    ),
+    "precision 0": (
+        MINIMAL + "[output]\nprecision = 0\n", "field 'precision' must lie in [1, 17]"
+    ),
+    "precision 18": (
+        MINIMAL + "[output]\nprecision = 18\n", "field 'precision' must lie in [1, 17]"
+    ),
+    "no cells": (
+        MINIMAL + "[quadrature]\ncells = 0\n", "field 'cells' must be at least 1, got 0"
+    ),
+    "no problem": ("[solver]\neps = 1e-3\n", "missing required section [problem]"),
+    "reversed interval": (
+        "[problem]\na = 1\nb = 0\nk1 = 0\nk2 = 0\ng = t\nM = 0.5\nL = 0.5\n",
+        "bad [problem] section: need finite a < b, got [1.0, 0.0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+def test_bad_field_is_one_config_error_line(tmp_path, capsys, text, message):
+    assert cmd_bound(write_ini(tmp_path, text)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+# expressions the parser refuses, each with its offset
+_TOO_DEEP = "expression nested deeper than 100 levels"
+BAD_K1 = {
+    "200 parentheses": ("(" * 200 + "t" + ")" * 200, f"{_TOO_DEEP} (offset 100)"),
+    "1,000-term sum": (" + ".join(["t*s*x"] * 1000), f"{_TOO_DEEP} (offset 782)"),
+    "1,200 unary minuses": ("-" * 1200 + "t", f"{_TOO_DEEP} (offset 100)"),
+    "superscript two": ("5²", "unknown character '²' (offset 1)"),
+    "arabic-indic three": ("٣*t", "unknown character '٣' (offset 0)"),
+}
+
+
+@pytest.mark.parametrize("k1, message", BAD_K1.values(), ids=BAD_K1.keys())
+def test_unparseable_kernel_is_one_config_error_line(tmp_path, capsys, k1, message):
+    path = write_ini(
+        tmp_path, f"[problem]\na = 0\nb = 1\nk1 = {k1}\nk2 = 0\ng = t\nM = 0.5\nL = 0.5\n"
+    )
+    assert cmd_bound(path) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: bad expression in [problem]: {message}\n"
 
 
 def test_bound_bad_config(tmp_path, capsys):

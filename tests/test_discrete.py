@@ -416,6 +416,36 @@ def test_raising_factor_keeps_the_kernel_and_its_first_error():
     assert _error_text(fred, sys_, np.zeros(11)) == want
 
 
+def test_c_table_that_raises_keeps_the_kernel():
+    # c passes the check on the anti-diagonal t + s = 1 but raises on the
+    # whole (t, s) table, so k2's tables come from the kernel
+    def c(t, s):
+        if np.any(t + s > 1.5):
+            raise ArithmeticError("c refuses t + s > 1.5")
+        return 5.5 * (t * t) * (s * s)
+
+    prob = dataclasses.replace(benchmark_problem(), k2_terms=((c, lambda s, x: x),))
+    sys_ = build_system(prob, _scheme("midpoint", "half_cell"))
+    assert sys_.k2_terms is not None and sys_.k2_split is None
+    xi = np.linspace(-1.0, 1.0, 10)
+    dense = build_system(_without_terms(prob), sys_.scheme)
+    assert np.array_equal(fred(sys_, xi), fred(dense, xi))
+
+
+def test_non_finite_split_map_names_the_kernels_error():
+    # 1e300*t*x overflows in the split table and in the kernel; the kernel's
+    # own evaluation names the error
+    sys_ = _system(k1="1e300*t*x", k2="(11/2)*t^2*s^2*x")
+    assert sys_.k1_split is not None
+    with np.errstate(over="ignore"):
+        got = _error_text(phi, sys_, np.full(10, 1e10))
+    assert got == (
+        EvalDomainError,
+        "non-finite result (overflow) in '((1e+300 * t) * x)': "
+        "100 offending input point(s), first at index (0, 0)",
+    )
+
+
 def test_split_calls_the_kernels_only_to_check_them():
     calls = {"k1": 0, "k2": 0}
 

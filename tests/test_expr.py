@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from vfsolve.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Const,
@@ -163,6 +164,59 @@ def test_unknown_character_reports_offset():
     with pytest.raises(TokenizeError) as err:
         tokenize("t$")
     assert err.value.position == 1
+
+
+def test_number_literal_out_of_range():
+    with pytest.raises(TokenizeError) as err:
+        parse_expression("1e999")
+    assert str(err.value) == "number literal out of range (offset 0)"
+
+
+@pytest.mark.parametrize(
+    "source, char, offset", [("5²", "²", 1), ("٣*t", "٣", 0), ("2*ｔ", "ｔ", 2)]
+)
+def test_only_ascii_digits_and_letters(source, char, offset):
+    # str.isdigit and str.isalpha would take these for digits and letters
+    with pytest.raises(TokenizeError) as err:
+        parse_expression(source)
+    assert str(err.value) == f"unknown character {char!r} (offset {offset})"
+
+
+# (source, offset where MAX_DEPTH is passed): nesting, tree depth, nesting
+TOO_DEEP = {
+    "200 parentheses": ("(" * 200 + "t" + ")" * 200, 100),
+    "1,000-term sum": (" + ".join(["t*s*x"] * 1000), 782),
+    "1,200 unary minuses": ("-" * 1200 + "t", 100),
+}
+
+
+@pytest.mark.parametrize("source, offset", TOO_DEEP.values(), ids=TOO_DEEP.keys())
+def test_too_deep_expression_is_a_parse_error(source, offset):
+    with pytest.raises(ParseError) as err:
+        parse_expression(source)
+    assert str(err.value) == (
+        f"expression nested deeper than {MAX_DEPTH} levels (offset {offset})"
+    )
+
+
+def test_depth_limit_is_exact():
+    assert parse_expression("(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH) == Var("t")
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_expression("(" * (MAX_DEPTH + 1) + "t" + ")" * (MAX_DEPTH + 1))
+    # a tree of MAX_DEPTH levels: MAX_DEPTH - 1 minuses over a leaf
+    assert parse_expression("-" * (MAX_DEPTH - 1) + "t") is not None
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_expression("-" * MAX_DEPTH + "t")
+
+
+def test_50_term_sum_parses_and_evaluates_bit_identically():
+    tree = parse_expression(" + ".join(["t*s*x"] * 50))
+    t, s, x = np.random.default_rng(50).uniform(0.1, 2.0, size=(3, 20))
+    want = t * s * x
+    for _ in range(49):
+        want = want + t * s * x
+    assert np.array_equal(evaluate(tree, t, s, x), want)
+    assert np.array_equal(compile_expression(tree)(t, s, x), want)
 
 
 def test_whitespace_ignored():

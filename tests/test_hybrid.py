@@ -202,6 +202,13 @@ def test_solver_params_validation():
         )
 
 
+def test_pinned_n_prime_with_gamma_above_one_is_refused(bench):
+    # M = sqrt(25/18) > 1, so n_prime = 1 gives gamma = M
+    with pytest.raises(ValueError) as info:
+        prepare(bench, 1e-3, n_prime=1)
+    assert str(info.value) == "n_prime=1 gives gamma=1.1785113019775793 >= 1"
+
+
 def test_solver_params_stores_eight_values_and_derives_ten():
     p = derive_params(M_BENCH, L_BENCH, G1_NORM, 1e-3, n0=55)
     assert [f.name for f in dataclasses.fields(p)] == [
@@ -449,6 +456,34 @@ def test_solve_rejects_mismatched_params(bench):
     wrong_g = derive_params(M_BENCH, L_BENCH, 4.92, 1e-3)
     with pytest.raises(ValueError, match=r"do not match the system: g_norm="):
         solve(bench, wrong_g)
+
+
+def _expression_system(k1, k2, g):
+    prob = from_expressions(0.0, 1.0, k1_src=k1, k2_src=k2, g_src=g, M=0.5, L=0.5)
+    return build_system(prob, build_scheme(make_grid(0.0, 1.0, 10), "midpoint"))
+
+
+def test_solve_refuses_a_non_finite_shifted_forcing_term():
+    # g and Phi(0) are finite, g - Phi(0) overflows; params from a sound system
+    params = prepare(_expression_system("0", "0", "t"), 1e-3)
+    sys_ = _expression_system("-1e308", "0", "1e308")
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+        solve(sys_, params)
+    assert str(info.value) == "state vector contains non-finite entries"
+
+
+def test_overflowing_outer_iterate_is_a_solver_error():
+    # Phi(0) = +1e308 * (t - a) and Phi(xi) = -Phi(0) for xi != 0: their
+    # difference overflows at step 1, while g = Phi(0) keeps ||g1|| finite
+    scheme = build_scheme(make_grid(0.0, 1.0, 10), "midpoint")
+    k1 = lambda t, s, x: np.where(x == 0.0, 1e308, -1e308) * (0.0 * t + 1.0)
+    k2 = lambda t, s, x: 0.1 + 0.0 * (t * s * x)
+    probe = Problem(a=0.0, b=1.0, k1=k1, k2=k2, g=lambda t: 0.0 * t, M=0.5, L=0.5)
+    phi0 = phi(build_system(probe, scheme), np.zeros(scheme.dim))
+    sys_ = build_system(dataclasses.replace(probe, g=lambda t: phi0.copy()), scheme)
+    with np.errstate(over="ignore"), pytest.raises(SolverError) as info:
+        solve(sys_, prepare(sys_, 1e-3))
+    assert str(info.value) == "non-finite outer iterate at step 1"
 
 
 def test_solve_without_exact_has_no_per_node_error():

@@ -357,6 +357,25 @@ def _wide_constant_k1():
     )
 
 
+def _mixed_infinities_in_late_rows(which):
+    # -inf at s < 0.1 and +inf at 0.1 < s < 0.3 in the rows t > 0.5: numpy
+    # warns that their weighted sum is invalid
+    bp = benchmark_problem()
+    kernel = getattr(bp, which)
+
+    def k(t, s, x):
+        bad = np.where(s < 0.1, -np.inf, np.inf)
+        return np.where((t > 0.5) & (s < 0.3), bad, kernel(t, s, x))
+
+    return dataclasses.replace(bp, **{which: k, f"{which}_terms": None})
+
+
+def _k2_inf_in_late_rows():
+    bp = benchmark_problem()
+    k2 = lambda t, s, x: np.where((t > 0.5) & (s < 0.1), np.inf, bp.k2(t, s, x))
+    return dataclasses.replace(bp, k2=k2, k2_terms=None)
+
+
 NEWTON_FAILURES = {
     "k1_nonfinite_at_start": (
         lambda: newton_solve(
@@ -371,6 +390,30 @@ NEWTON_FAILURES = {
             start=_boundary_start(0.5),
         ),
         {f: (ValueError, "fredholm kernel k2 evaluated non-finite at mesh cell (i=0, j=3)")
+         for f in ("default", "error")},
+    ),
+    # from 0 the defect is -g, whose norm overflows; J = I - 0.9 * ones * w
+    # amplifies it tenfold, past the float range
+    "diverges_past_float_range": (
+        lambda: newton_solve(_system("0", "-0.9*x", g="1.5e308"), start=np.zeros(10)),
+        {"default": (NewtonError, "iteration diverged to non-finite values (residual was inf)"),
+         "error": (RuntimeWarning, "overflow encountered in multiply")},
+    ),
+    # a numpy warning raised as an error in the shared tables replays the map
+    "k1_row_sum_invalid": (
+        lambda: newton_solve(_benchmark_system(10, prob=_mixed_infinities_in_late_rows("k1"))),
+        {f: (ValueError, "volterra kernel k1 evaluated non-finite at mesh cell (i=5, j=0)")
+         for f in ("default", "error")},
+    ),
+    "k2_row_sum_invalid": (
+        lambda: newton_solve(_benchmark_system(10, prob=_mixed_infinities_in_late_rows("k2"))),
+        {f: (ValueError, "fredholm kernel k2 evaluated non-finite at mesh cell (i=5, j=0)")
+         for f in ("default", "error")},
+    ),
+    # a non-finite fred row replays the map, which names the cell
+    "k2_nonfinite_fred_row": (
+        lambda: newton_solve(_benchmark_system(10, prob=_k2_inf_in_late_rows())),
+        {f: (ValueError, "fredholm kernel k2 evaluated non-finite at mesh cell (i=5, j=0)")
          for f in ("default", "error")},
     ),
     "ln_leaves_its_domain": (
@@ -401,3 +444,50 @@ def test_newton_failures_keep_their_errors(case, action):
         with pytest.raises(Exception) as info:
             run()
     assert (type(info.value), str(info.value)) == expected[action]
+
+
+def _k2_factor_fails_below_two():
+    # the form serves at g, whose largest value is 4.28; at the iterates, all
+    # below 2, its factor raises and k2 builds its own tables
+    def e(s, x):
+        if np.max(x) < 2.0:
+            raise ArithmeticError("factor refuses states below 2")
+        return x
+
+    bp = benchmark_problem()
+    return dataclasses.replace(bp, k2_terms=((bp.k2_terms[0][0], e),))
+
+
+def test_raising_factor_gives_the_kernels_bytes():
+    prob = _k2_factor_fails_below_two()
+    sys_ = _benchmark_system(40, prob=prob)
+    assert sys_.k2_split is not None
+    termless = _benchmark_system(40, prob=dataclasses.replace(prob, k2_terms=None))
+    assert newton_solve(sys_).tobytes() == newton_solve(termless).tobytes()
+
+
+def test_replayed_maps_get_the_column_jacobian(monkeypatch):
+    sys_ = _benchmark_system(10)
+
+    def refuse(self, which, v):
+        raise ArithmeticError("no shared tables")
+
+    monkeypatch.setattr(oracle._SharedTables, "_source", refuse)
+    factored = []
+    solve = np.linalg.solve
+
+    def spy(jac, rhs):
+        delta = solve(jac, rhs)
+        factored.append((jac.copy(), delta))
+        return delta
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    xi = newton_solve(sys_)
+    monkeypatch.undo()
+    assert residual(sys_, xi) <= 1e-12 and factored
+    at, step = sys_.g_vec, NewtonConfig().fd_step
+    for jac, delta in factored:
+        base = oracle._system_map(sys_, at)
+        assert jac.tobytes() == oracle._column_jacobian(sys_, at, step, base).tobytes()
+        at = at - delta
+    assert np.array_equal(at, xi)

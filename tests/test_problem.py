@@ -138,6 +138,20 @@ def test_check_assumptions_requires_enough_pairs(scheme):
         check_assumptions(benchmark_problem(), scheme, pairs=10)
 
 
+@pytest.mark.parametrize("box", [0.0, -1.0, np.inf])
+def test_check_assumptions_rejects_a_bad_box(scheme, box):
+    with pytest.raises(ValueError) as info:
+        check_assumptions(benchmark_problem(), scheme, pairs=100, x_box=box)
+    assert str(info.value) == f"x_box must be positive and finite, got {box}"
+
+
+def test_forcing_term_of_the_wrong_shape_is_refused(scheme):
+    prob = dataclasses.replace(benchmark_problem(), g=lambda t: np.zeros(3))
+    with pytest.raises(ValueError) as info:
+        build_system(prob, scheme)
+    assert str(info.value) == "g returned shape (3,) for (50,) nodes"
+
+
 def test_check_assumptions_seed_reproducible(scheme):
     a = check_assumptions(benchmark_problem(), scheme, pairs=150, seed=7)
     b = check_assumptions(benchmark_problem(), scheme, pairs=150, seed=7)

@@ -109,6 +109,13 @@ def test_grid_validation():
         make_grid(0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, np.inf), (np.nan, 1.0), (-np.inf, 0.0)])
+def test_grid_endpoints_must_be_finite(a, b):
+    with pytest.raises(ValueError) as info:
+        make_grid(a, b, 4)
+    assert str(info.value) == "interval endpoints must be finite"
+
+
 def test_unknown_rule_rejected():
     with pytest.raises(ValueError, match="unknown quadrature rule"):
         build_scheme(make_grid(0.0, 1.0, 4), "gauss")
