@@ -35,7 +35,6 @@ from .hybrid import (
     iteration_bound_fine,
     op_budget,
     prepare,
-    shift_parts,
     solve,
 )
 from .oracle import NewtonConfig, NewtonError, jacobian_check, newton_solve
@@ -91,7 +90,6 @@ __all__ = [
     "iteration_bound_fine",
     "fixed_point_error",
     "op_budget",
-    "shift_parts",
     # Newton oracle
     "NewtonConfig",
     "NewtonError",

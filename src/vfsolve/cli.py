@@ -33,7 +33,7 @@ from . import hybrid, reference
 from .continuation import ContinuationConfig, SolverError, inner_bound
 from .discrete import DiscreteSystem, build_system, residual
 from .expr import ExprError
-from .oracle import NewtonError, newton_solve
+from .oracle import NewtonError, _check_dim, newton_solve
 from .problem import (
     DEFAULT_SEED,
     Problem,
@@ -417,6 +417,7 @@ def cmd_convergence(name: str, levels: int, base: int = 25) -> int:
     for k in range(levels):
         cells = base * 2**k
         try:
+            _check_dim(cells)  # midpoint: one node per cell; refused before it is built
             sys_obj = _system(replace(rc, cells=cells))
             err = _max_error(sys_obj, newton_solve(sys_obj))
         except _FAILURES as exc:

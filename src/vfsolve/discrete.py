@@ -21,10 +21,10 @@ rather than full meshes:
 
 Either result is broadcast to (dim, dim), so a kernel may return a
 lower-rank array or a scalar (e.g. ``lambda t, s, x: 0.0``).  phi and
-fred take the kernel tables from :func:`k1_table` and :func:`k2_table`; the
-Newton oracle builds the same tables a row block at a time from
-:func:`_kernel_call` and the separable forms.  Only the length-dim output
-of phi and fred is checked for non-finite values; when it fails, or when
+fred take the kernel tables from :func:`k1_table` and :func:`k2_table`;
+:func:`_phi_and_table` and :func:`_fred_and_table` return the table with
+the map, for the Newton oracle's Jacobian.  Only the length-dim output of
+phi and fred is checked for non-finite values; when it fails, or when
 numpy's warning about the weighted sum is raised as an error (``python -W
 error``), the kernel's own table is searched for the offending cell to name
 in the error.  :func:`fred_unchecked`, the continuation's inner map, returns
@@ -291,9 +291,8 @@ def _volterra_sum(sys: DiscreteSystem, vals: np.ndarray) -> np.ndarray:
     return np.multiply(sys.scheme.volterra_weights, cells, out=cells).sum(axis=-1)
 
 
-def phi(sys: DiscreteSystem, xi) -> np.ndarray:
-    """Volterra part: row i integrates k1(t_i, s, xi(s)) over [a, t_i]."""
-    v = _as_state(sys, xi)
+def _phi_and_table(sys: DiscreteSystem, v: np.ndarray) -> tuple:
+    """:func:`phi` at a checked state ``v``, and the k1 table it summed."""
     vals = k1_table(sys, v)
     try:
         out = _volterra_sum(sys, vals)
@@ -302,7 +301,12 @@ def phi(sys: DiscreteSystem, xi) -> np.ndarray:
         raise
     if not np.isfinite(out).all():
         _check_kernel_values(sys, "k1", v, vals)
-    return out
+    return out, vals
+
+
+def phi(sys: DiscreteSystem, xi) -> np.ndarray:
+    """Volterra part: row i integrates k1(t_i, s, xi(s)) over [a, t_i]."""
+    return _phi_and_table(sys, _as_state(sys, xi))[0]
 
 
 def fred_unchecked(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
@@ -313,6 +317,19 @@ def fred_unchecked(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     except RuntimeWarning:  # as in phi
         _check_kernel_values(sys, "k2", v, vals)
         raise
+
+
+def _fred_and_table(sys: DiscreteSystem, v: np.ndarray) -> tuple:
+    """:func:`fred` at a checked state ``v``, and the k2 table it summed."""
+    vals = k2_table(sys, v)
+    try:
+        out = vals @ sys.scheme.global_weights
+    except RuntimeWarning:  # as in phi
+        _check_kernel_values(sys, "k2", v, vals)
+        raise
+    if not np.isfinite(out).all():
+        _check_kernel_values(sys, "k2", v)
+    return out, vals
 
 
 def fred(sys: DiscreteSystem, xi) -> np.ndarray:

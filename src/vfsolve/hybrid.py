@@ -49,7 +49,6 @@ __all__ = [
     "iteration_bound_fine",
     "op_budget",
     "fixed_point_error",
-    "shift_parts",
     "D_CAP",
 ]
 
@@ -268,12 +267,6 @@ def fixed_point_error(params: SolverParams, k: int, anchor_gap: float) -> float:
         raise ValueError(f"estimate needs k >= m, got k={k}, m={params.m}")
     blocks = (k - k % params.m) // params.m
     return params.alpha**blocks / (1.0 - params.alpha) * anchor_gap
-
-
-def shift_parts(sys: discrete.DiscreteSystem):
-    """(Phi(0), F(0), g1) with g1 = g - Phi(0) - F(0), computed once per
-    system (:attr:`vfsolve.discrete.DiscreteSystem.shift`), read-only."""
-    return sys.shift
 
 
 def prepare(sys: discrete.DiscreteSystem, eps: float, **overrides) -> SolverParams:

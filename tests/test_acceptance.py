@@ -26,7 +26,6 @@ from vfsolve.hybrid import (
     iteration_bound,
     op_budget,
     prepare,
-    shift_parts,
     solve,
 )
 from vfsolve.oracle import newton_solve
@@ -138,7 +137,7 @@ def test_criterion_2_parameter_derivation(half_sys):
     """
     prob = half_sys.problem
     M, L, eps = prob.M, prob.L, 1e-3
-    _, _, g1 = shift_parts(half_sys)
+    _, _, g1 = half_sys.shift
     g_norm = norm(half_sys, g1)
     params = derive_params(M, L, g_norm, eps)
     assert (params.N, params.n_prime, params.m) == (2, 6, 8)
@@ -297,7 +296,7 @@ def test_criterion_6_property_suites(half_sys):
             assert float(np.max(np.abs(sums - target))) <= 1e-12
 
     # shifting by the zero-state values leaves the residual unchanged
-    phi0, f0, g1 = shift_parts(half_sys)
+    phi0, f0, g1 = half_sys.shift
     rng = np.random.default_rng(2026_08_21)
     for _ in range(200):
         xi = rng.uniform(-2.5, 2.5, n)

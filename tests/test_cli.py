@@ -1,6 +1,7 @@
 """CLI behavior: config validation, exit codes, CSV shape, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vfsolve import cli, reference
+from vfsolve import cli, problem, reference
 from vfsolve.cli import (
     EXIT_AUDIT,
     EXIT_CONFIG,
@@ -532,6 +533,22 @@ def test_table_unknown_builtin(capsys):
     assert "unknown builtin" in capsys.readouterr().err
 
 
+def test_table_builtin_without_reference_run(monkeypatch, capsys):
+    monkeypatch.setitem(problem.BUILTINS, "other", problem.benchmark_problem)
+    assert cmd_table("other") == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: no reference run for builtin problem 'other'\n"
+    )
+
+
+def test_table_reference_grid_mismatch(monkeypatch, capsys):
+    # trapezoid on 49 cells: 50 nodes, as in the table, but not its nodes
+    run = {**reference.REFERENCE_RUN["benchmark"], "rule": "trapezoid", "cells": 49}
+    monkeypatch.setitem(reference.REFERENCE_RUN, "benchmark", run)
+    assert cmd_table("benchmark") == EXIT_SOLVER
+    assert capsys.readouterr().err == "solver failure: reference grid mismatch\n"
+
+
 # ---------------------------------------------------------------- convergence
 
 def test_convergence_ratios_near_four(capsys):
@@ -562,6 +579,59 @@ def test_convergence_needs_two_levels(capsys):
 
 def test_convergence_unknown_builtin(capsys):
     assert cmd_convergence("nonesuch", levels=2) == EXIT_CONFIG
+
+
+def test_convergence_needs_a_positive_base(capsys):
+    assert cmd_convergence("benchmark", levels=2, base=0) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: base cell count must be positive\n"
+
+
+def test_convergence_needs_an_exact_solution(monkeypatch, capsys):
+    monkeypatch.setitem(
+        problem.BUILTINS, "noexact",
+        lambda: dataclasses.replace(problem.benchmark_problem(), exact=None),
+    )
+    assert cmd_convergence("noexact", levels=2) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: convergence reporting needs a declared exact solution\n"
+    )
+
+
+_CAP_FAILURE = (
+    "solver failure at 1600 cells: "
+    "system dimension 1600 exceeds the dense-Jacobian cap 1000\n"
+)
+
+
+def test_convergence_seven_levels_stop_at_the_cap(capsys):
+    assert main(["convergence", "benchmark", "--levels", "7"]) == EXIT_SOLVER
+    out, err = capsys.readouterr()
+    assert out == (
+        "cells,h,max_error,ratio\n"
+        "25,0.04,0.000767878,\n"
+        "50,0.02,0.000206508,3.7184\n"
+        "100,0.01,5.36038e-05,3.85248\n"
+        "200,0.005,1.36591e-05,3.9244\n"
+        "400,0.0025,3.44778e-06,3.96171\n"
+        "800,0.00125,8.66118e-07,3.98073\n"
+    )
+    assert err == _CAP_FAILURE
+
+
+def test_convergence_refuses_a_level_above_the_cap_before_building_it(monkeypatch, capsys):
+    # every level is solved on the coarsest grid, so only the cap can stop the
+    # loop; the 51,200-cell level would ask for a 20 GiB weight table
+    built = []
+    system = cli._system
+
+    def recording(rc):
+        built.append(rc.cells)
+        return system(dataclasses.replace(rc, cells=25))
+
+    monkeypatch.setattr(cli, "_system", recording)
+    assert main(["convergence", "benchmark", "--levels", "12"]) == EXIT_SOLVER
+    assert built == [25, 50, 100, 200, 400, 800]
+    assert capsys.readouterr().err == _CAP_FAILURE
 
 
 # ---------------------------------------------------------------- main

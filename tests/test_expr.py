@@ -182,6 +182,30 @@ def test_only_ascii_digits_and_letters(source, char, offset):
     assert str(err.value) == f"unknown character {char!r} (offset {offset})"
 
 
+@pytest.mark.parametrize("source", [")", "+", ")t", "+t"])
+def test_leading_token_that_starts_no_atom(source):
+    with pytest.raises(ParseError) as err:
+        parse_expression(source)
+    assert str(err.value) == f"unexpected token {source[0]!r} (offset 0)"
+
+
+def test_nodes_check_their_names():
+    # the parser builds only known names; a hand-built node is checked too
+    with pytest.raises(ParseError) as err:
+        Var("y")
+    assert str(err.value) == "unknown variable 'y'"
+    with pytest.raises(ParseError) as err:
+        Call("foo", Const(1.0))
+    assert str(err.value) == "unknown function 'foo'"
+
+
+def test_to_string_refuses_a_non_node():
+    node = object()
+    with pytest.raises(TypeError) as err:
+        to_string(node)
+    assert str(err.value) == f"not an Expr node: {node!r}"
+
+
 # (source, offset where MAX_DEPTH is passed): nesting, tree depth, nesting
 TOO_DEEP = {
     "200 parentheses": ("(" * 200 + "t" + ")" * 200, 100),

@@ -19,7 +19,6 @@ from vfsolve.hybrid import (
     iteration_bound_fine,
     op_budget,
     prepare,
-    shift_parts,
     solve,
 )
 from vfsolve.expr import EvalDomainError
@@ -244,7 +243,7 @@ def test_error_budget_enforces_op_bound():
 # the shift
 
 def test_shift_parts_benchmark(bench):
-    phi0, f0, g1 = shift_parts(bench)
+    phi0, f0, g1 = bench.shift
     assert np.all(f0 == 0.0)  # Fredholm kernel is linear in x
     assert np.max(np.abs(phi0 - 2.5 * bench.scheme.nodes**3)) < 5 * bench.grid.h**2
     assert np.allclose(g1, bench.g_vec - phi0)
@@ -273,11 +272,11 @@ def _first_repeat(zs):
 
 def test_shift_is_computed_once_per_system(monkeypatch):
     sys_ = build_system(benchmark_problem(), build_scheme(make_grid(0.0, 1.0, 10), "midpoint"))
-    parts = shift_parts(sys_)
+    parts = sys_.shift
     assert all(not part.flags.writeable for part in parts)
     maps = _count_maps(monkeypatch, "phi", "fred")
     params = prepare(sys_, 1e-1)
-    assert shift_parts(sys_) is parts
+    assert sys_.shift is parts
     zs = []
     sol = solve(sys_, params, outer_callback=lambda t, z: zs.append(z.tobytes()))
     # the phi of each outer step up to the first repeated iterate, if any, and
@@ -290,7 +289,7 @@ def test_shift_is_computed_once_per_system(monkeypatch):
 
 def test_prepare_uses_shifted_norm(bench):
     p = prepare(bench, 1e-3)
-    q = derive_params(M_BENCH, L_BENCH, norm(bench, shift_parts(bench)[2]), 1e-3)
+    q = derive_params(M_BENCH, L_BENCH, norm(bench, bench.shift[2]), 1e-3)
     assert p == q
     p55 = prepare(bench, 1e-3, n0=55)
     assert (p55.d, p55.n0) == (6, 55)
@@ -332,7 +331,7 @@ def test_inner_bound_value_covers_every_inner_solve(bench):
     z_max = max(norm(bench, z) for z in zs)
     assert z_max > params.g_norm
     assert sol.budget.inner_bound_value == inner_bound(cfg, z_max)
-    _, f0, _ = shift_parts(bench)
+    _, f0, _ = bench.shift
 
     def F1(v):
         return fred(bench, v) - f0
@@ -513,7 +512,7 @@ def test_outer_contraction_witness(bench):
 def test_p_inverse_nonexpansive(bench):
     from vfsolve.continuation import ContinuationConfig, p_inverse
 
-    _, f0, g1 = shift_parts(bench)
+    _, f0, g1 = bench.shift
 
     def F1(v):
         from vfsolve.discrete import fred

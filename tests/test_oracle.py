@@ -259,8 +259,8 @@ def test_newton_bytes_on_every_scheme(form, rule, rows):
 
 
 def _whole_table_jacobian(sys_, at, step):
-    """The entrywise Jacobian built from whole kernel tables, the reference
-    for the row blocks."""
+    """The entrywise Jacobian built from whole kernel tables, each table
+    made anew: the reference for the tables a Newton map keeps."""
     with np.errstate(invalid="ignore", over="ignore"):
         bumped = at + step
         diag = (bumped - at) / step
@@ -297,18 +297,14 @@ JACOBIAN_PROBLEMS = {
 }
 
 
-# dims 10, 41 and 101: with 3-row blocks the last block is partial
 @pytest.mark.parametrize("rule, cells", [("midpoint", 10), ("trapezoid", 40), ("simpson", 100)])
 @pytest.mark.parametrize("name", sorted(JACOBIAN_PROBLEMS))
-@pytest.mark.parametrize("three_rows", [True, False], ids=["3-row-blocks", "default-blocks"])
-def test_newton_jacobians_match_whole_tables_bytewise(monkeypatch, rule, cells, name, three_rows):
+def test_newton_jacobians_match_whole_tables_bytewise(monkeypatch, rule, cells, name):
     if name == "row0_inf" and rule == "midpoint":
         rule, cells = "trapezoid", 9
     sys_ = _benchmark_system(cells, rule, prob=JACOBIAN_PROBLEMS[name]())
     if name == "two_terms":
         assert len(sys_.k1_split) == len(sys_.k2_split) == 2
-    if three_rows:
-        monkeypatch.setattr(oracle, "_BLOCK_CELLS", 3 * sys_.dim, raising=False)
     factored = []
     solve = np.linalg.solve
 
@@ -399,7 +395,7 @@ NEWTON_FAILURES = {
         {"default": (NewtonError, "iteration diverged to non-finite values (residual was inf)"),
          "error": (RuntimeWarning, "overflow encountered in multiply")},
     ),
-    # a numpy warning raised as an error in the shared tables replays the map
+    # a numpy warning raised as an error in phi's or fred's weighted sum
     "k1_row_sum_invalid": (
         lambda: newton_solve(_benchmark_system(10, prob=_mixed_infinities_in_late_rows("k1"))),
         {f: (ValueError, "volterra kernel k1 evaluated non-finite at mesh cell (i=5, j=0)")
@@ -410,7 +406,7 @@ NEWTON_FAILURES = {
         {f: (ValueError, "fredholm kernel k2 evaluated non-finite at mesh cell (i=5, j=0)")
          for f in ("default", "error")},
     ),
-    # a non-finite fred row replays the map, which names the cell
+    # a non-finite fred row: fred names the cell
     "k2_nonfinite_fred_row": (
         lambda: newton_solve(_benchmark_system(10, prob=_k2_inf_in_late_rows())),
         {f: (ValueError, "fredholm kernel k2 evaluated non-finite at mesh cell (i=5, j=0)")
@@ -466,13 +462,22 @@ def test_raising_factor_gives_the_kernels_bytes():
     assert newton_solve(sys_).tobytes() == newton_solve(termless).tobytes()
 
 
-def test_replayed_maps_get_the_column_jacobian(monkeypatch):
-    sys_ = _benchmark_system(10)
+def test_unformable_jacobian_gets_the_column_jacobian(monkeypatch):
+    # from the constant start c, the Jacobian's tables at c + step are the
+    # only state with no entry at c, and k2 refuses it; the column loop's
+    # maps each bump one entry
+    c = 0.5
+    bp = benchmark_problem()
+    refused = []
 
-    def refuse(self, which, v):
-        raise ArithmeticError("no shared tables")
+    def k2(t, s, x):
+        if np.all(x == c + NewtonConfig().fd_step):
+            refused.append(x)
+            raise ArithmeticError("k2 refuses the bumped state")
+        return bp.k2(t, s, x)
 
-    monkeypatch.setattr(oracle._SharedTables, "_source", refuse)
+    sys_ = _benchmark_system(10, prob=dataclasses.replace(bp, k2=k2, k2_terms=None))
+    start = np.full(sys_.dim, c)
     factored = []
     solve = np.linalg.solve
 
@@ -482,12 +487,15 @@ def test_replayed_maps_get_the_column_jacobian(monkeypatch):
         return delta
 
     monkeypatch.setattr(np.linalg, "solve", spy)
-    xi = newton_solve(sys_)
+    xi = newton_solve(sys_, start=start)
     monkeypatch.undo()
-    assert residual(sys_, xi) <= 1e-12 and factored
-    at, step = sys_.g_vec, NewtonConfig().fd_step
-    for jac, delta in factored:
-        base = oracle._system_map(sys_, at)
-        assert jac.tobytes() == oracle._column_jacobian(sys_, at, step, base).tobytes()
+    assert residual(sys_, xi) <= 1e-12 and len(refused) == 1 and len(factored) > 1
+    at, step = start, NewtonConfig().fd_step
+    for i, (jac, delta) in enumerate(factored):
+        if i == 0:
+            expected = oracle._column_jacobian(sys_, at, step, oracle._system_map(sys_, at))
+        else:
+            expected = _whole_table_jacobian(sys_, at, step)
+        assert jac.tobytes() == expected.tobytes()
         at = at - delta
     assert np.array_equal(at, xi)
