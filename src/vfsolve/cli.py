@@ -231,7 +231,7 @@ def _system(rc: RunConfig) -> DiscreteSystem:
         grid = make_grid(rc.problem.a, rc.problem.b, rc.cells)
         scheme = build_scheme(grid, rc.rule, midpoint_rows=rc.volterra_rows)
         return build_system(rc.problem, scheme)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -309,7 +309,9 @@ def _audit_failures(rc: RunConfig, sys_obj: DiscreteSystem) -> list[str]:
 def _check_writable(path: str) -> None:
     """Refuse an output path that cannot be written, without creating it."""
     folder = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:
+        why = "the path is empty"
+    elif os.path.isdir(path):
         why = "it is a directory"
     elif not os.path.isdir(folder):
         why = f"no directory {folder!r}"

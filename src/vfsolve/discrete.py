@@ -37,10 +37,10 @@ free of t.  :func:`build_system` checks the form against the kernel at dim
 points (t_i, s_i, g_i), with s_i <= t_i for k1: a mismatch beyond 1e-12
 relative is a ValueError, and a form whose check raises or is non-finite is
 not used.  Each c_r is evaluated on the kernel's own (t, s) table, once
-for k2 and per table for k1.  A table then costs dim evaluations of each
-e_r, on the row (s_j, xi_j), and one multiply-add per term, instead of
-dim^2 kernel evaluations; the points (s_j, xi_j) are ones the kernel's own
-table holds in its last row.  A form that repeats the kernel's last
+per system.  A table then costs dim evaluations of each e_r, on the row
+(s_j, xi_j), and one multiply-add per term, instead of dim^2 kernel
+evaluations; the points (s_j, xi_j) are ones the kernel's own table holds
+in its last row.  A form that repeats the kernel's last
 operations, as the builtin's and :func:`vfsolve.expr.split_terms`'s do,
 gives tables bit-identical to the kernel's in every cell phi, fred and the
 Jacobian use.
@@ -117,10 +117,7 @@ class DiscreteSystem:
             part.flags.writeable = False
         return parts
 
-    # F is mapped (n0+1)^(N+1) - 1 times a solve, Phi about n0 times: k2's
-    # c_r tables are kept from first use on, k1's are evaluated per table and
-    # take no memory beyond it
-    @property
+    @cached_property
     def k1_split(self) -> tuple | None:
         """k1's form as (c_r on k1's (t, s) table, e_r) pairs, or None."""
         return _c_tables(self.k1_terms, self.scheme.nodes[:, None], self.s_mesh_volterra)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import math
-import string
+import re
 
 import numpy as np
 
@@ -121,75 +121,40 @@ class Token:
     position: int
 
 
-_OPERATORS = "+-*/^"
-# ASCII only: str.isdigit and str.isalpha accept other scripts' digits and letters
-_DIGITS = frozenset(string.digits)
-_NAME_START = frozenset(string.ascii_letters + "_")
-_NAME_CHARS = _NAME_START | _DIGITS
+# ASCII digits and letters only: \d and \w, like str.isdigit and str.isalpha,
+# accept other scripts'; \s skips exactly what str.isspace does
+_TOKEN = re.compile(
+    r"""\s+
+    | (?P<number>[0-9]+(?:\.[0-9]+|(?P<dot>\.))?(?:[eE][+-]?[0-9]+)?)
+    | (?P<identifier>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<operator>[-+*/^])
+    | (?P<lparen>\()
+    | (?P<rparen>\))
+    | (?P<comma>,)""",
+    re.VERBOSE,
+)
 
 
 def tokenize(source: str) -> list[Token]:
     """Split ``source`` into tokens, skipping whitespace.
 
-    Raises :class:`TokenizeError` on an unknown character or a malformed
-    number literal, reporting the character offset.
+    An exponent is part of a number only if it is well-formed ("2e" lexes
+    as 2, e).  Raises :class:`TokenizeError` on an unknown character or a
+    malformed number literal, reporting the character offset.
     """
     tokens: list[Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _DIGITS:
-            start = i
-            while i < n and source[i] in _DIGITS:
-                i += 1
-            if i < n and source[i] == ".":
-                dot = i
-                i += 1
-                if i >= n or source[i] not in _DIGITS:
-                    raise TokenizeError("malformed number literal", dot)
-                while i < n and source[i] in _DIGITS:
-                    i += 1
-            if i < n and source[i] in "eE":
-                # consume an exponent only if it is well-formed; otherwise the
-                # letter is left for the next token ("2e" lexes as 2, e)
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j] in _DIGITS:
-                    i = j
-                    while i < n and source[i] in _DIGITS:
-                        i += 1
-            lexeme = source[start:i]
-            if not math.isfinite(float(lexeme)):
-                raise TokenizeError("number literal out of range", start)
-            tokens.append(Token("number", lexeme, start))
-            continue
-        if c in _NAME_START:
-            start = i
-            while i < n and source[i] in _NAME_CHARS:
-                i += 1
-            tokens.append(Token("identifier", source[start:i], start))
-            continue
-        if c in _OPERATORS:
-            tokens.append(Token("operator", c, i))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(Token("lparen", c, i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(Token("rparen", c, i))
-            i += 1
-            continue
-        if c == ",":
-            tokens.append(Token("comma", c, i))
-            i += 1
-            continue
-        raise TokenizeError(f"unknown character {c!r}", i)
+    i = 0
+    while i < len(source):
+        m = _TOKEN.match(source, i)
+        if m is None:
+            raise TokenizeError(f"unknown character {source[i]!r}", i)
+        if m["dot"]:
+            raise TokenizeError("malformed number literal", m.start("dot"))
+        if m.lastgroup == "number" and not math.isfinite(float(m[0])):
+            raise TokenizeError("number literal out of range", i)
+        if m.lastgroup:
+            tokens.append(Token(m.lastgroup, m[0], i))
+        i = m.end()
     return tokens
 
 

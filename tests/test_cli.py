@@ -315,6 +315,31 @@ def test_unwritable_out_path_is_config_error_before_the_solve(tmp_path, capsys):
     assert not missing.parent.exists()
 
 
+def test_empty_out_path_is_config_error_before_the_solve(tmp_path, capsys):
+    # dirname("") falls back to ".", which is writable
+    expected = ("", "config error: cannot write output file '': the path is empty\n")
+    path = write_ini(tmp_path, CHEAP)
+    assert main(["solve", "--config", path, "--out", ""]) == EXIT_CONFIG
+    assert capsys.readouterr() == expected  # nothing was solved
+    path = write_ini(tmp_path, CHEAP.replace("path = solution.csv", "path ="))
+    assert cmd_solve(path) == EXIT_CONFIG
+    assert capsys.readouterr() == expected
+
+
+def test_grid_too_large_to_allocate_is_config_error(tmp_path, capsys, monkeypatch):
+    # a real allocation of this size could get the test process killed
+    def unable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "build_scheme", unable)
+    path = write_ini(tmp_path, MINIMAL + "[quadrature]\ncells = 1000000\n")
+    for cmd in (cmd_solve, cmd_bound):
+        assert cmd(path) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "config error: Unable to allocate 7.28 TiB for an array\n"
+        )
+
+
 def test_write_error_after_the_solve_is_config_error(tmp_path, capsys, monkeypatch):
     def refuse_writes(file, mode="r", **kwargs):
         if "w" in mode:

@@ -166,6 +166,32 @@ def test_unknown_character_reports_offset():
     assert err.value.position == 1
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("5.e3", "malformed number literal (offset 1)"),
+        ("5.5.", "unknown character '.' (offset 3)"),
+    ],
+)
+def test_dot_after_a_number(source, message):
+    with pytest.raises(TokenizeError) as err:
+        tokenize(source)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "source, tokens",
+    [
+        ("1.5e+3", [("number", "1.5e+3", 0)]),
+        ("2e+", [("number", "2", 0), ("identifier", "e", 1), ("operator", "+", 2)]),
+        # skipped as str.isspace skips them: no-break space, file separator
+        ("t\u00a0+\x1cs", [("identifier", "t", 0), ("operator", "+", 2), ("identifier", "s", 4)]),
+    ],
+)
+def test_tokenize_edge_cases(source, tokens):
+    assert [(t.kind, t.lexeme, t.position) for t in tokenize(source)] == tokens
+
+
 def test_number_literal_out_of_range():
     with pytest.raises(TokenizeError) as err:
         parse_expression("1e999")
