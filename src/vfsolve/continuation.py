@@ -15,7 +15,7 @@ recomputation, and correctness does not (each inner solve is started fresh
 from its own target).  The outer loop in :func:`vfsolve.hybrid.solve` stops
 at the first outer iterate that repeats an earlier one bit for bit, so it
 may call :func:`p_inverse` fewer than n0 + 1 times; each call still makes
-the full recursion.
+the full recursion, and the solve reports the paper's count in closed form.
 
 ``F`` is any callable mapping a 1-d ndarray to one of the same shape;
 ``cfg.op_counter`` tallies its evaluations.  F need not check its output:
@@ -78,13 +78,12 @@ class ContinuationConfig:
         return 1.0 / self.N
 
 
-def level_solve(F, level: int, target, cfg: ContinuationConfig, on_step=None):
+def level_solve(F, level: int, target, cfg: ContinuationConfig):
     """n0 fixed-point steps of w <- -eps0*F(chain(w)) + target at one level.
 
     ``chain`` inverts all lower levels (a fresh :func:`level_solve` for each),
     so the cost is exponential in ``level``.  The iteration starts from the
-    target itself.  ``on_step(level, k, w)``, if given, observes every iterate
-    of every (sub-)solve, with k restarting at 0 for each new solve.
+    target itself.
     """
     if not 1 <= level <= cfg.N:
         raise ValueError(f"level must be in [1, {cfg.N}], got {level}")
@@ -93,7 +92,7 @@ def level_solve(F, level: int, target, cfg: ContinuationConfig, on_step=None):
     w = target.copy()
     for k in range(cfg.n0):
         for lev in lower:
-            w = level_solve(F, lev, w, cfg, on_step)
+            w = level_solve(F, lev, w, cfg)
         nxt = np.multiply(F(w), scale, dtype=float)  # a fresh array: F's stays as it was
         cfg.op_counter += 1
         nxt += target
@@ -103,20 +102,18 @@ def level_solve(F, level: int, target, cfg: ContinuationConfig, on_step=None):
                 "the Lipschitz/monotonicity assumptions are likely violated",
                 state=w,
             )
-        if on_step is not None:
-            on_step(level, k, nxt)
         w = nxt
     return w
 
 
-def p_inverse(F, z, cfg: ContinuationConfig, on_step=None):
+def p_inverse(F, z, cfg: ContinuationConfig):
     """Approximate solution xi of xi + F(xi) = z.
 
     Solves the top level for y, then maps y down through the remaining
     N-1 inversions.  The defect ||xi + F(xi) - z|| obeys :func:`inner_bound`.
     """
     for lev in range(cfg.N, 0, -1):
-        z = level_solve(F, lev, z, cfg, on_step)
+        z = level_solve(F, lev, z, cfg)
     return z
 
 

@@ -331,11 +331,7 @@ def _fred_and_table(sys: DiscreteSystem, v: np.ndarray) -> tuple:
 
 def fred(sys: DiscreteSystem, xi) -> np.ndarray:
     """Fredholm part: row i integrates k2(t_i, s, xi(s)) over [a, b]."""
-    v = _as_state(sys, xi)
-    out = fred_unchecked(sys, v)
-    if not np.isfinite(out).all():
-        _check_kernel_values(sys, "k2", v)
-    return out
+    return _fred_and_table(sys, _as_state(sys, xi))[0]
 
 
 def inner(sys: DiscreteSystem, u, v) -> float:

@@ -29,7 +29,7 @@ parameter choice exactly, and :class:`SolverParams` derives the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import math
 
@@ -277,27 +277,22 @@ def prepare(sys: discrete.DiscreteSystem, eps: float, **overrides) -> SolverPara
     )
 
 
-def solve(
-    sys: discrete.DiscreteSystem,
-    params: SolverParams,
-    outer_callback: Callable[[int, np.ndarray], None] | None = None,
-) -> Solution:
+def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
     """Run the full hybrid iteration and package the result.
 
     Each outer iterate z^(t) is kept by its bytes, with Pinv(z^(t)).  When
     z^(t) repeats an earlier z^(i) bit for bit, the iterates cycle with
     period p = t - i from step i on, and the loop stops: it returns
     Pinv(z^(i + (n0 - i) mod p)), the array the n0-step loop returns.  A
-    repeat is taken after the step's finiteness check, norm update and
-    callback, so the inner bound is unchanged and nothing skipped could
-    have raised.  Kernels with side effects see fewer calls, and under an
-    ``"always"`` warnings filter the skipped steps' warnings are not shown.
+    repeat is taken after the step's finiteness check and norm update, so
+    the inner bound is unchanged and nothing skipped could have raised.
+    Kernels with side effects see fewer calls, and under an ``"always"``
+    warnings filter the skipped steps' warnings are not shown.
 
-    ``outer_callback(t, z)``, if given, observes the outer iterates z^(0) ...
-    z^(n0), the skipped ones as copies of the stored cycle.  ``op_count``
-    counts the iteration's Phi/F maps whose result is returned, skipped ones
-    included, so it is (n0+1)^(N+1) - 1; ``maps_evaluated`` counts those
-    made.  The shift setup and final diagnostics are excluded from both.
+    ``op_count`` is the paper's count (n0+1)^(N+1) - 1 of the iteration's
+    Phi/F maps, whose result is returned whether or not the loop stopped
+    early; ``maps_evaluated`` counts the maps made.  The shift setup and
+    final diagnostics are excluded from both.
     Raises ValueError when ``params`` were derived for another system: q,
     alpha or g_norm differ from L/N, M^m/sqrt((m-1)!) or ||g1||.
     """
@@ -336,32 +331,20 @@ def solve(
     n0 = params.n0
     z = g1.copy()
     z_norm = g1_norm  # the largest target norm; the inner bound scales with it
-    if outer_callback is not None:
-        outer_callback(0, z.copy())
-    zs, xis, first = [z], [], {z.tobytes(): 0}  # z^(i), Pinv(z^(i)), bytes -> i
+    xis, first = [], {z.tobytes(): 0}  # Pinv(z^(i)), bytes of z^(i) -> i
     for t in range(1, n0 + 1):
         xis.append(p_inverse(z))
         z = -(discrete.phi(sys, xis[-1]) - phi0) + g1
         if not np.isfinite(z).all():
             raise SolverError(f"non-finite outer iterate at step {t}")
         z_norm = max(z_norm, discrete.norm(sys, z))
-        if outer_callback is not None:
-            outer_callback(t, z.copy())
         i = first.setdefault(z.tobytes(), t)
         if i < t:  # z^(t) repeats z^(i): from step i on, z has period t - i
-            if outer_callback is not None:
-                for s in range(t + 1, n0 + 1):
-                    outer_callback(s, zs[i + (s - i) % (t - i)].copy())
             xi = xis[i + (n0 - i) % (t - i)]
             break
-        zs.append(z)
     else:
         xi = p_inverse(z)
-        xis.append(xi)
 
-    maps_evaluated = cfg.op_counter + t  # the inverses' maps and one Phi a step
-    inverse_maps = cfg.op_counter // len(xis)  # the same for every inverse
-    skipped = (n0 + 1 - len(xis)) * inverse_maps + (n0 - t)
     budget = ErrorBudget(
         iteration_bound=iteration_bound(params),
         inner_bound_value=continuation.inner_bound(cfg, z_norm),
@@ -369,8 +352,8 @@ def solve(
             f"quadrature truncation error not included: O(h^{sys.scheme.order}) "
             f"for the {sys.scheme.rule} rule, vanishing as the grid is refined"
         ),
-        op_count=maps_evaluated + skipped,
-        maps_evaluated=maps_evaluated,
+        op_count=op_budget(params) - 1,
+        maps_evaluated=cfg.op_counter + t,  # the inverses' maps and one Phi a step
         op_bound=op_budget(params),
     )
     per_node = None

@@ -22,9 +22,11 @@ by ``midpoint_rows``:
   problem was produced with it.
 
 Row 0 of a trapezoid or Simpson table is identically zero (t_0 = a).  Odd
-Simpson rows span an odd number of cells, which composite Simpson cannot do,
-so those rows fall back to the trapezoid rule over the same nodes; row sums
-remain exact for all rules.
+Simpson rows span an odd number of cells, which composite Simpson cannot do:
+row 1 is the trapezoid rule, and each odd row i >= 3 is Simpson over its
+first i - 3 cells plus the 3/8 rule over its last three, so every row but
+row 1 is exact on cubics and all weights stay positive.  Row sums remain
+exact for all rules.
 """
 
 from __future__ import annotations
@@ -134,9 +136,10 @@ def build_scheme(grid: Grid, rule: str, midpoint_rows: str = "half_cell") -> Qua
         )
     gw = _simpson_row(grid.n_cells, h)
     vw = np.zeros((n, n))
-    for i in range(1, n):
-        if i % 2 == 0:
-            vw[i, : i + 1] = _simpson_row(i, h)
-        else:
-            vw[i, : i + 1] = _trapezoid_row(i, h)
+    for i in range(2, n, 2):
+        vw[i, : i + 1] = _simpson_row(i, h)
+    vw[1, :2] = _trapezoid_row(1, h)
+    for i in range(3, n, 2):  # row i - 3 (even) plus the 3/8 rule on the last three cells
+        vw[i] = vw[i - 3]
+        vw[i, i - 3 : i + 1] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
     return QuadScheme("simpson", 4, grid, nodes, gw, vw, None)

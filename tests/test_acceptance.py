@@ -245,6 +245,18 @@ def test_criterion_5_convergence_order():
     assert elapsed <= 30.0, f"refinement study took {elapsed:.1f} s"
 
 
+def test_simpson_convergence_order():
+    """Newton-oracle max errors drop ~16x per halving of h (Simpson rule)."""
+    errs = []
+    for cells in (20, 40, 80):
+        sys_obj = _system(cells, rule="simpson")
+        xi = newton_solve(sys_obj)
+        exact = np.asarray(sys_obj.problem.exact(sys_obj.scheme.nodes), dtype=float)
+        errs.append(float(np.max(np.abs(xi - exact))))
+    ratios = [errs[k] / errs[k + 1] for k in range(2)]
+    assert all(15.0 <= r <= 17.0 for r in ratios), f"ratios {ratios}"
+
+
 # -------------------------------------------------------------- criterion 6
 
 def test_criterion_6_property_suites(half_sys):

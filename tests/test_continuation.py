@@ -96,13 +96,16 @@ def test_nonfinite_iterate_raises():
         level_solve(blow_up, 1, np.array([1.0]), cfg)
 
 
-def _plain_level(F, level, y, N, n0):
+def _plain_level(F, level, y, N, n0, on_step=None):
+    """level_solve written out plainly; on_step(level, k, w) sees each iterate."""
     w = y
-    for _ in range(n0):
+    for k in range(n0):
         u = w
         for lev in range(level - 1, 0, -1):
-            u = _plain_level(F, lev, u, N, n0)
+            u = _plain_level(F, lev, u, N, n0, on_step)
         w = -(1.0 / N) * F(u) + y
+        if on_step is not None:
+            on_step(level, k, w)
     return w
 
 
@@ -112,12 +115,16 @@ def test_steps_never_write_into_arrays_they_do_not_own():
     for F in (lambda v: v, lambda v: kept):
         for level in (1, 2):
             cfg, seen = _cfg(0.9, 2, 5), []
-            on_step = lambda lev, k, w: seen.append((w, w.copy()))
-            got = level_solve(F, level, target, cfg, on_step)
+
+            def watched(v):  # every argument F receives, with a copy of it
+                seen.append((v, v.copy()))
+                return F(v)
+
+            got = level_solve(watched, level, target, cfg)
             want = _plain_level(F, level, target, 2, 5)
             assert got.tobytes() == want.tobytes()
             assert len(seen) == cfg.op_counter == 5 * 6 ** (level - 1)
-            assert all(w.tobytes() == copy.tobytes() for w, copy in seen)
+            assert all(v.tobytes() == copy.tobytes() for v, copy in seen)
         got = p_inverse(F, target, _cfg(0.9, 2, 5))
         assert got.tobytes() == _plain_level(F, 1, _plain_level(F, 2, target, 2, 5), 2, 5).tobytes()
         assert target.tolist() == [1.0, -2.0, 0.5]
@@ -169,7 +176,10 @@ def test_level_contraction_witness(bench):
         else:
             current[level].append(w)
 
-    p_inverse(F1, g1, cfg, on_step=on_step)
+    xi = g1  # the plain copy, level by level, is p_inverse bit for bit
+    for level in range(cfg.N, 0, -1):
+        xi = _plain_level(F1, level, xi, cfg.N, cfg.n0, on_step)
+    assert xi.tobytes() == p_inverse(F1, g1, cfg).tobytes()
     worst = 0.0
     for seq in runs:
         for a, b, c in zip(seq, seq[1:], seq[2:]):

@@ -274,11 +274,12 @@ def test_shift_is_computed_once_per_system(monkeypatch):
     sys_ = build_system(benchmark_problem(), build_scheme(make_grid(0.0, 1.0, 10), "midpoint"))
     parts = sys_.shift
     assert all(not part.flags.writeable for part in parts)
-    maps = _count_maps(monkeypatch, "phi", "fred")
     params = prepare(sys_, 1e-1)
-    assert sys_.shift is parts
     zs = []
-    sol = solve(sys_, params, outer_callback=lambda t, z: zs.append(z.tobytes()))
+    _full_outer_loop(sys_, params, lambda t, z: zs.append(z.tobytes()))
+    maps = _count_maps(monkeypatch, "phi", "fred")
+    sol = solve(sys_, params)
+    assert sys_.shift is parts
     # the phi of each outer step up to the first repeated iterate, if any, and
     # the residual's phi and fred: no map at zero
     repeat = _first_repeat(zs)
@@ -326,7 +327,8 @@ def test_inner_bound_value_covers_every_inner_solve(bench):
     # the target's norm, so the budget takes it at the largest of them
     params = prepare(bench, 1e-3, n0=16)
     zs = []
-    sol = solve(bench, params, outer_callback=lambda t, z: zs.append(z))
+    _full_outer_loop(bench, params, lambda t, z: zs.append(z))
+    sol = solve(bench, params)
     cfg = ContinuationConfig(params.N, params.q, params.n0)
     z_max = max(norm(bench, z) for z in zs)
     assert z_max > params.g_norm
@@ -406,16 +408,14 @@ def test_repeat_exit_is_bit_identical_to_the_full_loop(name, monkeypatch):
     if name == "repeat at z^(n0)":
         assert sum(repeat) == n0
 
-    maps = _count_maps(monkeypatch, "fred_unchecked", "phi")
-    seen = []
-    sol = solve(sys_, params, outer_callback=lambda t, z: seen.append((t, z.tobytes())))
+    maps = _count_maps(monkeypatch, "fred_unchecked", "fred", "phi")
+    sol = solve(sys_, params)
     assert sol.xi.tobytes() == xi.tobytes()
-    assert seen == full
     budget = sol.budget
     assert (budget.op_count, budget.inner_bound_value, sol.residual) == (op_count, inner_value, res)
     assert budget.op_count == (n0 + 1) ** (params.N + 1) - 1
-    # the residual makes one phi and one fred (through fred_unchecked)
-    assert maps["fred_unchecked"] + maps["phi"] == budget.maps_evaluated + 2
+    # the residual makes one phi and one fred
+    assert sum(maps.values()) == budget.maps_evaluated + 2
     if repeat is None:
         assert budget.maps_evaluated == budget.op_count
     else:  # steps 1 .. i + period ran, each one inverse and one phi
@@ -434,12 +434,10 @@ def test_repeat_exit_keeps_the_pinned_solution(config, n0, repeat, digest):
     # digests of the full loop's xi; these runs stop at a cycle, not a fixed point
     rc = cli.parse_config(str(CONFIGS / config))
     sys_ = cli._system(rc)
-    zs = []
-    sol = solve(
-        sys_, prepare(sys_, rc.eps, n0=n0), outer_callback=lambda t, z: zs.append(z.tobytes())
-    )
-    assert len(zs) == n0 + 1
-    assert _first_repeat(zs) == repeat
+    params = prepare(sys_, rc.eps, n0=n0)
+    sol = solve(sys_, params)
+    # steps 1 .. i + period ran, each one inverse and one phi
+    assert sol.budget.maps_evaluated == sum(repeat) * (n0 + 1) ** params.N
     assert hashlib.sha256(sol.xi.tobytes()).hexdigest() == digest
 
 
@@ -499,7 +497,8 @@ def test_outer_contraction_witness(bench):
     # the m-fold outer map contracts by alpha (with inner-solve slack)
     params = prepare(bench, 1e-3, n0=24)
     zs = []
-    solve(bench, params, outer_callback=lambda t, z: zs.append(z))
+    xi = _full_outer_loop(bench, params, lambda t, z: zs.append(z))[0]
+    assert xi.tobytes() == solve(bench, params).xi.tobytes()
     assert len(zs) == params.n0 + 1
     m = params.m
     for t in range(m, params.n0 - m + 1):

@@ -236,7 +236,7 @@ _BUILTIN_40 = {
     "midpoint-full_cell": "728ce6a23d00dcdac4a930a324419e742c446e530d0b6a65cff0c55b42c79b9c",
     "midpoint-half_cell": "eee19ce0c458143b7f3b695bf25c493167068a5d4e3bea459b724fe94d31b395",
     "trapezoid": "6f6e5aaceff3936d9315029bb09d66ec0c64fe14a2d2c8843f77a1549e0af54f",
-    "simpson": "73f010ee2164bd81d36ec6963e990408d402838650f64ca817cad6373feb5ad3",
+    "simpson": "ea233c3c967ebdc5dcf6b16ad5c198f660a5a97b045268f768662a3254b73f35",
 }
 SCHEME_DIGESTS_40 = {
     "builtin": _BUILTIN_40,
@@ -245,7 +245,7 @@ SCHEME_DIGESTS_40 = {
         "midpoint-full_cell": "3839ccc8498a7021999045dcbf9611ffa8dbce6c36365f70e5565e7c08028e55",
         "midpoint-half_cell": "9f94adb55e15dc8b041cc9e58a9ecf03fde615af99fcd057739131f99f5388c8",
         "trapezoid": "e2e78d340ab0bd02a37ccdb84384a8a5dc5e99e23d21ab9db7f5f946e7d32434",
-        "simpson": "6ac7174e80a379284a891629b384bfd528f836623e85f98c1d41b88f08a3f6e7",
+        "simpson": "01ecc752acc2ff751c2cf75a25a010c540890249d4e669d73c131cf5adbb2b84",
     },
 }
 
