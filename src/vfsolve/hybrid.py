@@ -142,22 +142,22 @@ class ErrorBudget:
     """A-priori bounds and the operation counts of one solve.
 
     ``op_count`` is the number of Phi/F maps of the paper's iteration whose
-    result the solve returns bit for bit; ``maps_evaluated`` is the number
-    it actually made, fewer when the outer iterates repeat (:func:`solve`).
+    result the solve returns bit for bit, (n0+1)^(N+1) - 1, one below
+    ``op_bound``; ``maps_evaluated`` is the number it actually made, fewer
+    when the outer iterates repeat (:func:`solve`).
     """
 
     iteration_bound: float
     inner_bound_value: float
     discretization_note: str
-    op_count: int
     maps_evaluated: int
     op_bound: int
 
+    @property
+    def op_count(self) -> int:
+        return self.op_bound - 1
+
     def __post_init__(self):
-        if self.op_count > self.op_bound:
-            raise SolverError(
-                f"operation count {self.op_count} exceeded budget {self.op_bound}"
-            )
         if self.maps_evaluated > self.op_count:
             raise SolverError(
                 f"maps evaluated {self.maps_evaluated} exceed operation count {self.op_count}"
@@ -352,7 +352,6 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
             f"quadrature truncation error not included: O(h^{sys.scheme.order}) "
             f"for the {sys.scheme.rule} rule, vanishing as the grid is refined"
         ),
-        op_count=op_budget(params) - 1,
         maps_evaluated=cfg.op_counter + t,  # the inverses' maps and one Phi a step
         op_bound=op_budget(params),
     )

@@ -8,7 +8,7 @@ A scheme carries two kinds of weights for the same node set:
   [a, t_i] using only nodes s_0 .. s_i (used for the Volterra part).
 
 Rules: ``midpoint`` (nodes at cell centers, order 2), ``trapezoid`` (order 2)
-and ``simpson`` (order 4, needs an even cell count).
+and ``simpson`` (order 3, needs an even cell count; see below).
 
 For the midpoint rule the truncated row has two natural conventions, selected
 by ``midpoint_rows``:
@@ -25,8 +25,10 @@ Row 0 of a trapezoid or Simpson table is identically zero (t_0 = a).  Odd
 Simpson rows span an odd number of cells, which composite Simpson cannot do:
 row 1 is the trapezoid rule, and each odd row i >= 3 is Simpson over its
 first i - 3 cells plus the 3/8 rule over its last three, so every row but
-row 1 is exact on cubics and all weights stay positive.  Row sums remain
-exact for all rules.
+row 1 is exact on cubics and all weights stay positive.  Row 1's local error
+h^3/12 * f'' caps a Simpson solution at order 3 at node 1 (every other node
+converges at order 4) unless the integrand's f'' vanishes at t = s = a, as
+for the builtin benchmark.  Row sums remain exact for all rules.
 """
 
 from __future__ import annotations
@@ -142,4 +144,4 @@ def build_scheme(grid: Grid, rule: str, midpoint_rows: str = "half_cell") -> Qua
     for i in range(3, n, 2):  # row i - 3 (even) plus the 3/8 rule on the last three cells
         vw[i] = vw[i - 3]
         vw[i, i - 3 : i + 1] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
-    return QuadScheme("simpson", 4, grid, nodes, gw, vw, None)
+    return QuadScheme("simpson", 3, grid, nodes, gw, vw, None)  # row 1: trapezoid

@@ -183,21 +183,23 @@ def test_criterion_2_parameter_derivation(half_sys):
 
 
 def test_criterion_2_operation_budget(table_run):
-    """With n0 = 55, N = 2 the measured operation count stays within 56^3."""
+    """With n0 = 55, N = 2 the paper's operation count is 56^3 - 1, and the
+    maps the solve measures stay within the 56^3 budget."""
     _, sol, _ = table_run
     params = sol.params
     assert (params.N, params.n0) == (2, 55)
     cap = op_budget(params)
     assert cap == 56**3 == 175616
-    measured = sol.budget.op_count
-    assert measured == 56**3 - 1, f"measured {measured} operations"
+    # the paper's count (n0+1)*((n0+1)^N - 1) + n0 = 56^3 - 1: the 9,240
+    # operations above 55^3 = 166375 come from each level paying n0 + 1 maps
+    # instead of n0, and the n0 outer Volterra evaluations add only 55
+    assert sol.budget.op_count == 56**3 - 1
+    assert 55**3 == 166375 < sol.budget.op_count <= cap
+    # the outer loop stops at a repeated iterate after 27 steps, each one
+    # inverse of (n0+1)^N - 1 maps and one phi
+    measured = sol.budget.maps_evaluated
+    assert measured == 27 * 56**2 == 84672, f"measured {measured} maps"
     assert measured <= cap
-    # comparison figure: the same budget computed with n0 instead of n0 + 1
-    # per level is 55^3 = 166375.  The measured count is
-    # (n0+1)*((n0+1)^N - 1) + n0 = 56^3 - 1; the 9,240 operations above 55^3
-    # come from each level paying n0 + 1 maps instead of n0.  The n0 outer
-    # Volterra evaluations account for only 55 of the total.
-    assert 55**3 == 166375 < measured <= cap
 
 
 # -------------------------------------------------------------- criterion 3
@@ -230,31 +232,38 @@ def test_criterion_4_bound_validity(half_sys, newton_half, cont_half):
 
 # -------------------------------------------------------------- criterion 5
 
+def _cos_problem():
+    """k1 = cos(x), whose Volterra integrand is not flat at t = s = a; x = t."""
+    return from_expressions(
+        0.0, 1.0, "cos(x)", "5.5*t^2*s^2*x", "t + sin(t) + 1.375*t^2",
+        math.sqrt(0.5), 1.1, exact_src="t", name="cos_x",
+    )
+
+
 def test_criterion_5_convergence_order():
-    """Newton-oracle max errors drop ~4x per halving of h (midpoint rule)."""
+    """Newton-oracle max errors drop ~2^p per halving of h: p = 2 for the
+    midpoint rule; p = 4 for Simpson on the builtin, whose k1 = 5ts cos(x)
+    makes row 1's integrand O(h^2)-flat; p = 3 for Simpson on k1 = cos(x),
+    set by row 1's trapezoid rule at node 1 alone."""
     t0 = time.perf_counter()
-    errs = []
-    for cells in (25, 50, 100):
-        sys_obj = _system(cells)
-        xi = newton_solve(sys_obj)
-        exact = np.asarray(sys_obj.problem.exact(sys_obj.scheme.nodes), dtype=float)
-        errs.append(float(np.max(np.abs(xi - exact))))
+    cases = (
+        (benchmark_problem(), "midpoint", (25, 50, 100), 3.0, 5.0),
+        (benchmark_problem(), "simpson", (20, 40, 80), 15.0, 17.0),
+        (_cos_problem(), "simpson", (20, 40, 80), 7.0, 9.0),
+    )
+    for prob, rule, cells_seq, lo, hi in cases:
+        errs = []
+        for cells in cells_seq:
+            sys_obj = build_system(prob, build_scheme(make_grid(prob.a, prob.b, cells), rule))
+            xi = newton_solve(sys_obj)
+            errs.append(np.abs(xi - prob.exact(sys_obj.scheme.nodes)))
+        ratios = [errs[k].max() / errs[k + 1].max() for k in range(2)]
+        assert all(lo <= r <= hi for r in ratios), f"{prob.name} {rule}: ratios {ratios}"
     elapsed = time.perf_counter() - t0
-    ratios = [errs[k] / errs[k + 1] for k in range(2)]
-    assert all(3.0 <= r <= 5.0 for r in ratios), f"ratios {ratios}"
     assert elapsed <= 30.0, f"refinement study took {elapsed:.1f} s"
-
-
-def test_simpson_convergence_order():
-    """Newton-oracle max errors drop ~16x per halving of h (Simpson rule)."""
-    errs = []
-    for cells in (20, 40, 80):
-        sys_obj = _system(cells, rule="simpson")
-        xi = newton_solve(sys_obj)
-        exact = np.asarray(sys_obj.problem.exact(sys_obj.scheme.nodes), dtype=float)
-        errs.append(float(np.max(np.abs(xi - exact))))
-    ratios = [errs[k] / errs[k + 1] for k in range(2)]
-    assert all(15.0 <= r <= 17.0 for r in ratios), f"ratios {ratios}"
+    # on k1 = cos(x) every node but node 1 still converges at order 4
+    away = [np.delete(e, 1).max() for e in errs]
+    assert all(away[k] / away[k + 1] >= 15.0 for k in range(2)), f"away from node 1: {away}"
 
 
 # -------------------------------------------------------------- criterion 6

@@ -227,15 +227,15 @@ def test_derive_params_rejects_a_count_below_one(name, value):
 
 
 def test_error_budget_enforces_op_bound():
-    with pytest.raises(SolverError, match="exceeded budget"):
+    budget = ErrorBudget(
+        iteration_bound=1.0, inner_bound_value=1.0,
+        discretization_note="", maps_evaluated=3, op_bound=4,
+    )
+    assert budget.op_count == 3  # the paper's count, one below the budget
+    with pytest.raises(SolverError, match=r"^maps evaluated 4 exceed operation count 3$"):
         ErrorBudget(
             iteration_bound=1.0, inner_bound_value=1.0,
-            discretization_note="", op_count=5, maps_evaluated=5, op_bound=4,
-        )
-    with pytest.raises(SolverError, match=r"^maps evaluated 5 exceed operation count 4$"):
-        ErrorBudget(
-            iteration_bound=1.0, inner_bound_value=1.0,
-            discretization_note="", op_count=4, maps_evaluated=5, op_bound=4,
+            discretization_note="", maps_evaluated=4, op_bound=4,
         )
 
 
@@ -274,17 +274,19 @@ def test_shift_is_computed_once_per_system(monkeypatch):
     sys_ = build_system(benchmark_problem(), build_scheme(make_grid(0.0, 1.0, 10), "midpoint"))
     parts = sys_.shift
     assert all(not part.flags.writeable for part in parts)
-    params = prepare(sys_, 1e-1)
-    zs = []
-    _full_outer_loop(sys_, params, lambda t, z: zs.append(z.tobytes()))
     maps = _count_maps(monkeypatch, "phi", "fred")
+    params = prepare(sys_, 1e-1)
+    assert sys_.shift is parts
     sol = solve(sys_, params)
     assert sys_.shift is parts
+    got = dict(maps)
+    zs = []
+    _full_outer_loop(sys_, params, lambda t, z: zs.append(z.tobytes()))
     # the phi of each outer step up to the first repeated iterate, if any, and
     # the residual's phi and fred: no map at zero
     repeat = _first_repeat(zs)
     steps = sum(repeat) if repeat else params.n0
-    assert maps == {"phi": steps + 1, "fred": 1}
+    assert got == {"phi": steps + 1, "fred": 1}
     assert sol.budget.op_count == (params.n0 + 1) ** (params.N + 1) - 1
 
 
