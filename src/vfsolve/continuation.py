@@ -8,14 +8,18 @@ P_k(x) = x + k*eps0*F(x) and P_0 = I, so that P = P_N, level k solves
 
 by n0 fixed-point steps from u = y, each a contraction by q = L*eps0 < 1, and
 then P_k^{-1}(y) = P_{k-1}^{-1}(u).  Every step re-solves all lower levels
-from scratch, so with n0 steps per level a full :func:`p_inverse` costs
-exactly (n0+1)^N - 1 evaluations of F.  No memoization is
-performed — the complexity accounting of the surrounding solver assumes the
-recomputation, and correctness does not (each inner solve is started fresh
-from its own target).  The outer loop in :func:`vfsolve.hybrid.solve` stops
-at the first outer iterate that repeats an earlier one bit for bit, so it
-may call :func:`p_inverse` fewer than n0 + 1 times; each call still makes
-the full recursion, and the solve reports the paper's count in closed form.
+from scratch, so with n0 steps per level the paper counts (n0+1)^N - 1
+evaluations of F for one :func:`p_inverse`.  A step is a function of the
+bits of its iterate, so once an iterate of a level >= 2 repeats an earlier
+one bit for bit, the rest of that level's loop would recompute a cycle
+already seen: :func:`level_solve` stops there and returns the iterate the
+full n0-step loop ends on (:func:`cycle_index`), bit for bit, having
+evaluated F fewer times.  Level 1 keys nothing: its steps are single maps,
+whose iterates do not repeat on the benchmark, so a key there would cost
+time and save none.  The outer loop in :func:`vfsolve.hybrid.solve` stops
+at its first repeat by the same rule, and the solve reports the paper's
+count in closed form.  This assumes F is a function of its argument, as the
+paper's maps are.
 
 ``F`` is any callable mapping a 1-d ndarray to one of the same shape;
 ``cfg.op_counter`` tallies its evaluations.  F need not check its output:
@@ -37,6 +41,7 @@ __all__ = [
     "SolverError",
     "level_solve",
     "p_inverse",
+    "cycle_index",
     "growth",
     "inner_bound",
 ]
@@ -83,26 +88,34 @@ def level_solve(F, level: int, target, cfg: ContinuationConfig):
 
     ``chain`` inverts all lower levels (a fresh :func:`level_solve` for each),
     so the cost is exponential in ``level``.  The iteration starts from the
-    target itself.
+    target itself.  At a level >= 2 each iterate is kept by its bytes, after
+    the step's finiteness check; when w_t repeats an earlier w_i the loop
+    returns w_(cycle_index(i, t, n0)), the array the n0-step loop ends on.
     """
     if not 1 <= level <= cfg.N:
         raise ValueError(f"level must be in [1, {cfg.N}], got {level}")
     target = np.asarray(target, dtype=float)
     lower, scale = range(level - 1, 0, -1), -cfg.eps0
     w = target.copy()
-    for k in range(cfg.n0):
+    ws, first = [w], ({w.tobytes(): 0} if level > 1 else None)  # w_i, bytes of w_i -> i
+    for t in range(1, cfg.n0 + 1):
+        v = w
         for lev in lower:
-            w = level_solve(F, lev, w, cfg)
-        nxt = np.multiply(F(w), scale, dtype=float)  # a fresh array: F's stays as it was
+            v = level_solve(F, lev, v, cfg)
+        w = np.multiply(F(v), scale, dtype=float)  # a fresh array: F's stays as it was
         cfg.op_counter += 1
-        nxt += target
-        if np.count_nonzero(np.isfinite(nxt)) != nxt.size:
+        w += target
+        if np.count_nonzero(np.isfinite(w)) != w.size:
             raise SolverError(
-                f"non-finite iterate at level {level}, step {k}; "
+                f"non-finite iterate at level {level}, step {t - 1}; "
                 "the Lipschitz/monotonicity assumptions are likely violated",
-                state=w,
+                state=v,
             )
-        w = nxt
+        if first is not None:
+            ws.append(w)
+            i = first.setdefault(w.tobytes(), t)
+            if i < t:
+                return ws[cycle_index(i, t, cfg.n0)]
     return w
 
 
@@ -115,6 +128,14 @@ def p_inverse(F, z, cfg: ContinuationConfig):
     for lev in range(cfg.N, 0, -1):
         z = level_solve(F, lev, z, cfg)
     return z
+
+
+def cycle_index(i: int, t: int, n: int) -> int:
+    """Which of x_0 … x_t an n-step iteration x_(k+1) = T(x_k) ends on, when
+    x_t is the first iterate to repeat an earlier x_i (i < t <= n): from step i
+    on the iterates cycle with period t - i, so x_n = x_(i + (n - i) mod (t - i)).
+    """
+    return i + (n - i) % (t - i)
 
 
 def growth(q: float, N: int) -> float:

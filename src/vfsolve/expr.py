@@ -530,20 +530,44 @@ def variables_used(expr: Expr) -> set[str]:
     return set()
 
 
+# binding strength of each printed form, loosest first, and the strength each
+# operand position needs unparenthesized: the left operand of ^ is an atom,
+# its right operand and a minus's operand a unary form, and the right operand
+# of a left-associative operator binds tighter than the operator itself
+_SUM, _PRODUCT, _UNARY, _POWER, _ATOM = range(5)
+_BINDING = {"+": _SUM, "-": _SUM, "*": _PRODUCT, "/": _PRODUCT, "^": _POWER}
+_OPERANDS = {_SUM: (_SUM, _PRODUCT), _PRODUCT: (_PRODUCT, _UNARY), _POWER: (_ATOM, _UNARY)}
+
+
+def _printed(expr: Expr) -> tuple[str, int]:
+    """Source text of ``expr`` and how tightly it binds."""
+    if type(expr) is Const:  # a negative one is built by hand, not parsed
+        text = repr(expr.value)
+        return text, _UNARY if text.startswith("-") else _ATOM
+    if type(expr) is Var:
+        return expr.name, _ATOM
+    if type(expr) is Neg:
+        return f"-{_operand(expr.operand, _UNARY)}", _UNARY
+    if type(expr) is Call:
+        return f"{expr.fn}({_printed(expr.arg)[0]})", _ATOM
+    if type(expr) is BinOp:
+        binding = _BINDING[expr.op]
+        left, right = _OPERANDS[binding]
+        return f"{_operand(expr.left, left)} {expr.op} {_operand(expr.right, right)}", binding
+    raise TypeError(f"not an Expr node: {expr!r}")
+
+
+def _operand(expr: Expr, needed: int) -> str:
+    text, binding = _printed(expr)
+    return text if binding >= needed else f"({text})"
+
+
 def to_string(expr: Expr) -> str:
     """Render a tree back to source text.
 
-    Output is fully parenthesized, so re-parsing yields a structurally
-    identical tree (and therefore bit-identical evaluation).
+    Parentheses appear only where precedence or associativity needs them, so
+    the text nests no deeper than the source the tree was parsed from, and
+    re-parsing any tree :func:`parse` builds yields a structurally identical
+    tree (and therefore bit-identical evaluation).
     """
-    if type(expr) is Const:
-        return repr(expr.value)
-    if type(expr) is Var:
-        return expr.name
-    if type(expr) is Neg:
-        return f"(-{to_string(expr.operand)})"
-    if type(expr) is Call:
-        return f"{expr.fn}({to_string(expr.arg)})"
-    if type(expr) is BinOp:
-        return f"({to_string(expr.left)} {expr.op} {to_string(expr.right)})"
-    raise TypeError(f"not an Expr node: {expr!r}")
+    return _printed(expr)[0]

@@ -18,8 +18,10 @@ count; the budget caps it at (n0+1)^(N+1).
 T is a function of the bits of z, so once an iterate repeats an earlier one
 bit for bit, the rest of the iteration would recompute a cycle already
 seen: :func:`solve` stops there and returns the inverse the full loop would
-end on, bit for bit, having made fewer maps (``maps_evaluated``).  This
-assumes the kernels are functions of their arguments, as the paper's are.
+end on, bit for bit, having made fewer maps (``maps_evaluated``).  Each
+continuation level >= 2 inside Pinv stops at its own first repeat by the same
+rule (:func:`vfsolve.continuation.cycle_index`).  This assumes the kernels
+are functions of their arguments, as the paper's are.
 
 :func:`derive_params` turns declared constants (M, L, ||g1||, eps) into the
 counts N, m, n_prime and n0; any count can be pinned instead to reproduce a
@@ -144,7 +146,8 @@ class ErrorBudget:
     ``op_count`` is the number of Phi/F maps of the paper's iteration whose
     result the solve returns bit for bit, (n0+1)^(N+1) - 1, one below
     ``op_bound``; ``maps_evaluated`` is the number it actually made, fewer
-    when the outer iterates repeat (:func:`solve`).
+    when the outer iterates or the iterates of a continuation level >= 2
+    repeat (:func:`solve`).
     """
 
     iteration_bound: float
@@ -286,11 +289,13 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
     Pinv(z^(i + (n0 - i) mod p)), the array the n0-step loop returns.  A
     repeat is taken after the step's finiteness check and norm update, so
     the inner bound is unchanged and nothing skipped could have raised.
-    Kernels with side effects see fewer calls, and under an ``"always"``
-    warnings filter the skipped steps' warnings are not shown.
+    Each Pinv stops its levels >= 2 the same way
+    (:func:`vfsolve.continuation.level_solve`).  Kernels with side effects
+    see fewer calls, and under an ``"always"`` warnings filter the skipped
+    steps' warnings are not shown.
 
     ``op_count`` is the paper's count (n0+1)^(N+1) - 1 of the iteration's
-    Phi/F maps, whose result is returned whether or not the loop stopped
+    Phi/F maps, whose result is returned whether or not a loop stopped
     early; ``maps_evaluated`` counts the maps made.  The shift setup and
     final diagnostics are excluded from both.
     Raises ValueError when ``params`` were derived for another system: q,
@@ -340,7 +345,7 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
         z_norm = max(z_norm, discrete.norm(sys, z))
         i = first.setdefault(z.tobytes(), t)
         if i < t:  # z^(t) repeats z^(i): from step i on, z has period t - i
-            xi = xis[i + (n0 - i) % (t - i)]
+            xi = xis[continuation.cycle_index(i, t, n0)]
             break
     else:
         xi = p_inverse(z)

@@ -5,9 +5,9 @@ hybrid continuation solver, a-priori bounds, Newton oracle, parser — on the
 builtin benchmark problem (exact solution x(t) = t on [0, 1]).  Heavy solves
 are shared through module-scoped fixtures, so the file runs in about 11 s on
 a 2-CPU x86 host; most of it is the criterion-3 fixture's four continuation
-solves (about 1.58 M maps of the paper's iteration, of which about 0.44 M are
-evaluated: the outer loop stops at a bitwise repeat), and most of those are
-the doubled-budget run.
+solves (about 1.58 M maps of the paper's iteration, of which about 0.22 M are
+evaluated: the outer loop and each continuation level >= 2 stop at a bitwise
+repeat), and most of those are the doubled-budget run.
 """
 
 import hashlib
@@ -196,9 +196,10 @@ def test_criterion_2_operation_budget(table_run):
     assert sol.budget.op_count == 56**3 - 1
     assert 55**3 == 166375 < sol.budget.op_count <= cap
     # the outer loop stops at a repeated iterate after 27 steps, each one
-    # inverse of (n0+1)^N - 1 maps and one phi
+    # inverse and one phi, and each inverse's level 2 stops at its own first
+    # repeat: 63,168 maps instead of the 27 * 56^2 = 84,672 of full inverses
     measured = sol.budget.maps_evaluated
-    assert measured == 27 * 56**2 == 84672, f"measured {measured} maps"
+    assert measured == 63168, f"measured {measured} maps"
     assert measured <= cap
 
 

@@ -112,7 +112,9 @@ def _plain_level(F, level, y, N, n0, on_step=None):
 def test_steps_never_write_into_arrays_they_do_not_own():
     target = np.array([1.0, -2.0, 0.5])
     kept = np.array([0.25, 0.5, -1.0])
-    for F in (lambda v: v, lambda v: kept):
+    # maps at levels 1 and 2: the constant map's level 2 repeats its first
+    # iterate at step 2, so it stops after two steps of 5 + 1 maps
+    for F, maps in ((lambda v: v, (5, 30)), (lambda v: kept, (5, 12))):
         for level in (1, 2):
             cfg, seen = _cfg(0.9, 2, 5), []
 
@@ -123,12 +125,84 @@ def test_steps_never_write_into_arrays_they_do_not_own():
             got = level_solve(watched, level, target, cfg)
             want = _plain_level(F, level, target, 2, 5)
             assert got.tobytes() == want.tobytes()
-            assert len(seen) == cfg.op_counter == 5 * 6 ** (level - 1)
+            assert len(seen) == cfg.op_counter == maps[level - 1]
             assert all(v.tobytes() == copy.tobytes() for v, copy in seen)
         got = p_inverse(F, target, _cfg(0.9, 2, 5))
         assert got.tobytes() == _plain_level(F, 1, _plain_level(F, 2, target, 2, 5), 2, 5).tobytes()
         assert target.tolist() == [1.0, -2.0, 0.5]
         assert kept.tolist() == [0.25, 0.5, -1.0]
+
+
+def _first_repeat(ws):
+    """(i, period) for the first w_t equal to an earlier w_i, or None."""
+    return next(((ws.index(w), t - ws.index(w)) for t, w in enumerate(ws) if ws.index(w) < t), None)
+
+
+def _top_repeat(F, level, y, N, n0):
+    """The first repeat among the plain loop's own iterates at ``level``."""
+    ws = [y.tobytes()]
+    _plain_level(F, level, y, N, n0, lambda lev, k, w: lev == level and ws.append(w.tobytes()))
+    return _first_repeat(ws)
+
+
+def _steps(hi, mid, lo):
+    return lambda v: np.where(v > 1.0, hi, np.where(v > -1.0, mid, lo))
+
+
+# name -> (F, target, n0, first repeat of the plain loop at levels 2 and 3,
+# maps of level_solve at levels 2 and 3 and of p_inverse, all with N = 3);
+# without a stop the maps would be n0*(n0+1), n0*(n0+1)^2 and (n0+1)^3 - 1
+LEVEL_CASES = {
+    "no repeat": (lambda v: 0.5 * v + 0.25, [1.0, -2.0], 4, [None, None], [20, 100, 124]),
+    "period 1": (lambda v: np.full_like(v, 0.75), [1.0, -2.0], 5, [(1, 1), (1, 1)], [12, 36, 53]),
+    "period 3": (_steps(-3.0, 3.0, -6.0), [0.0], 6, [(1, 3), (1, 3)], [28, 105, 125]),
+    "period 2 from step 2": (_steps(-3.0, 6.0, -6.0), [-1.0], 7, [(2, 2), (2, 1)], [32, 96, 127]),
+    "back to the target": (_steps(0.0, 3.0, -6.0), [0.5], 7, [(0, 3), (0, 2)], [24, 48, 63]),
+    "ends on the target": (_steps(0.0, 3.0, -6.0), [0.5], 8, [(0, 2), (0, 2)], [18, 45, 71]),
+    "repeat at step n0": (lambda v: np.floor(-v), [3.0], 5, [(4, 1), None], [30, 180, 215]),
+}
+
+
+@pytest.mark.parametrize("name", list(LEVEL_CASES))
+def test_level_stop_is_bit_identical_to_the_plain_loop(name):
+    F, y, n0, repeats, maps = LEVEL_CASES[name]
+    y = np.array(y)
+    assert [_top_repeat(F, level, y, 3, n0) for level in (2, 3)] == repeats
+    got = []
+    for level in (2, 3):
+        cfg = _cfg(0.9, 3, n0)
+        out = level_solve(F, level, y, cfg)
+        assert out.tobytes() == _plain_level(F, level, y, 3, n0).tobytes()
+        assert not np.shares_memory(out, y)
+        got.append(cfg.op_counter)
+    cfg = _cfg(0.9, 3, n0)
+    want = y
+    for level in (3, 2, 1):
+        want = _plain_level(F, level, want, 3, n0)
+    assert p_inverse(F, y, cfg).tobytes() == want.tobytes()
+    got.append(cfg.op_counter)
+    assert got == maps
+
+
+def test_nonfinite_level_iterate_raises_before_any_repeat():
+    # level 2's second step leaves the region where F is finite: u_0 and u_1
+    # differ, so the stop never fires and the step raises as in the full loop
+    F = lambda v: np.where(v > 4.0, np.inf, -2.0 * v + 1.0)
+    for level in (2, 3):
+        cfg, argument = _cfg(0.9, 3, 4), []
+
+        def watched(v):
+            argument.append(v.copy())
+            return F(v)
+
+        with pytest.raises(SolverError) as info:
+            level_solve(watched, level, np.array([1.0]), cfg)
+        assert str(info.value) == (
+            "non-finite iterate at level 2, step 1; "
+            "the Lipschitz/monotonicity assumptions are likely violated"
+        )
+        assert cfg.op_counter == len(argument) == 10
+        assert info.value.state.tobytes() == argument[-1].tobytes()
 
 
 def test_nonfinite_iterate_carries_the_maps_argument():

@@ -220,7 +220,7 @@ def test_domain_error_text_s_only_kernel(which, count):
     kernels = {"k2": src} if which == "fred" else {"k1": src}
     sys = _system(rule="trapezoid", **kernels)
     want = (
-        "sqrt of a negative value in 'sqrt((s - 0.5))': "
+        "sqrt of a negative value in 'sqrt(s - 0.5)': "
         f"{count} offending input point(s), first at index (0, 0)"
     )
     with pytest.raises(EvalDomainError) as info:
@@ -333,7 +333,7 @@ def test_split_product_overflow_is_the_kernels_error(warnings_as_errors):
     assert sys_.k2_split is not None
     want = (
         EvalDomainError,
-        "non-finite result (overflow) in '(exp((700.0 * t)) * exp((700.0 * x)))': "
+        "non-finite result (overflow) in 'exp(700.0 * t) * exp(700.0 * x)': "
         "49 offending input point(s), first at index (0, 9)",
     )
     xi = np.linspace(0.0, 1.0, 10)
@@ -441,7 +441,7 @@ def test_non_finite_split_map_names_the_kernels_error():
         got = _error_text(phi, sys_, np.full(10, 1e10))
     assert got == (
         EvalDomainError,
-        "non-finite result (overflow) in '((1e+300 * t) * x)': "
+        "non-finite result (overflow) in '1e+300 * t * x': "
         "100 offending input point(s), first at index (0, 0)",
     )
 

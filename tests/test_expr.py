@@ -322,7 +322,7 @@ def test_domain_error_in_array_input():
 
 
 def test_domain_error_names_subexpression():
-    with pytest.raises(EvalDomainError, match=r"ln\(\(t - 2\.0\)\)"):
+    with pytest.raises(EvalDomainError, match=r"ln\(t - 2\.0\)"):
         evaluate(parse_expression("ln(t-2)"), 1.0, 0.0, 0.0)
 
 
@@ -424,16 +424,16 @@ def test_nonfinite_input_names_the_variable():
     with pytest.raises(EvalDomainError) as info:
         evaluate(parse_expression("-t"), np.array([0.0, np.inf, -np.inf]), 0.0, 0.0)
     assert str(info.value) == (
-        "non-finite input t in '(-t)': 2 offending input point(s), first at index (1,)"
+        "non-finite input t in '-t': 2 offending input point(s), first at index (1,)"
     )
     with pytest.raises(EvalDomainError) as info:
         evaluate(parse_expression("t*1"), np.inf, 0.0, 0.0)
-    assert str(info.value) == "non-finite input t in '(t * 1.0)': scalar input"
+    assert str(info.value) == "non-finite input t in 't * 1.0': scalar input"
     # a scalar input counts every point of the broadcast shape
     with pytest.raises(EvalDomainError) as info:
         evaluate(parse_expression("s*x"), 0.0, np.nan, np.ones(3))
     assert str(info.value) == (
-        "non-finite input s in '(s * x)': 3 offending input point(s), first at index (0,)"
+        "non-finite input s in 's * x': 3 offending input point(s), first at index (0,)"
     )
     # a variable the expression does not use may be anything
     assert evaluate(parse_expression("x"), np.inf, np.nan, 0.5) == 0.5
@@ -444,7 +444,7 @@ def test_compiled_intermediate_overflow_with_finite_result_raises():
     # error tells the compiled kernel to re-run the checked evaluator
     tree = parse_expression("1/exp(1000*x)")
     want = (
-        "non-finite result (overflow) in 'exp((1000.0 * x))': "
+        "non-finite result (overflow) in 'exp(1000.0 * x)': "
         "1 offending input point(s), first at index (1,)"
     )
     x = np.array([0.0, 1.0])
@@ -502,6 +502,50 @@ def test_round_trip_1000_random_expressions():
         again = parse_expression(text)
         assert again == tree, text
         assert to_string(again) == text
+
+
+def _negated_powers(levels):
+    # (-(-(...)^2)^2)^2: each level a Neg that is the left operand of ^
+    text = "t"
+    for _ in range(levels):
+        text = f"(-{text})^2"
+    return text
+
+
+# chains at and past 50 levels, where a fully parenthesized print nested
+# deeper than MAX_DEPTH, up to the deepest the parser accepts
+DEEP_CHAINS = {
+    "50 minuses": "-" * 50 + "t",
+    "51 minuses": "-" * 51 + "t",
+    "deepest minus chain": "-" * (MAX_DEPTH - 1) + "t",
+    "50 powers": "t^" * 50 + "t",
+    "51 powers": "t^" * 51 + "t",
+    "deepest power chain": "t^" * (MAX_DEPTH - 1) + "t",
+    "deepest left-nested powers": "(" * 98 + "t" + "^t)" * 98 + "^t",
+    "deepest negated powers": _negated_powers(49),
+}
+
+
+@pytest.mark.parametrize("source", DEEP_CHAINS.values(), ids=DEEP_CHAINS.keys())
+def test_deep_chains_round_trip(source):
+    tree = parse_expression(source)
+    text = to_string(tree)
+    assert parse_expression(text) == tree, text
+    assert text.replace(" ", "") == source.replace("^2", "^2.0")
+
+
+def test_deep_chains_are_the_deepest_the_parser_accepts():
+    for source in ("-" * MAX_DEPTH + "t", "t^" * MAX_DEPTH + "t",
+                   "(" * 99 + "t" + "^t)" * 99 + "^t", _negated_powers(50)):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_expression(source)
+
+
+def test_negative_constant_base_keeps_its_value():
+    # Const(-2.0) is no parse result; printed bare, -2.0 ^ t would read -(2.0^t)
+    tree = BinOp("^", Const(-2.0), Var("t"))
+    assert to_string(tree) == "(-2.0) ^ t"
+    assert evaluate(parse_expression(to_string(tree)), 2.0, 0.0, 0.0) == evaluate(tree, 2.0, 0.0, 0.0) == 4.0
 
 
 def test_round_trip_preserves_evaluation_bits():

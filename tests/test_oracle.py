@@ -110,7 +110,7 @@ def test_jacobian_domain_error_counts_one_column():
     with pytest.raises(EvalDomainError) as exc:
         newton_solve(sys_, start=_boundary_start(0.5 - 5e-8))
     assert str(exc.value) == (
-        "ln of a non-positive value in 'ln((0.5 - x))': "
+        "ln of a non-positive value in 'ln(0.5 - x)': "
         "10 offending input point(s), first at index (0, 3)"
     )
 
@@ -417,7 +417,7 @@ NEWTON_FAILURES = {
         lambda: newton_solve(
             _system("0", "t*s*ln(0.5 - x)/10"), start=_boundary_start(0.49)
         ),
-        {f: (EvalDomainError, "ln of a non-positive value in 'ln((0.5 - x))': "
+        {f: (EvalDomainError, "ln of a non-positive value in 'ln(0.5 - x)': "
              "70 offending input point(s), first at index (0, 3)")
          for f in ("default", "error")},
     ),

@@ -176,7 +176,7 @@ def test_check_assumptions_nonfinite_kernel_raises(scheme):
     with pytest.raises(EvalDomainError) as err:
         check_assumptions(weird, scheme, pairs=100)
     assert str(err.value) == (
-        "division by zero in '(1.0 / (t - s))': 50 offending input point(s), "
+        "division by zero in '1.0 / (t - s)': 50 offending input point(s), "
         "first at index (0, 0)"
     )
 
