@@ -14,12 +14,15 @@ bits of its iterate, so once an iterate of a level >= 2 repeats an earlier
 one bit for bit, the rest of that level's loop would recompute a cycle
 already seen: :func:`level_solve` stops there and returns the iterate the
 full n0-step loop ends on (:func:`cycle_index`), bit for bit, having
-evaluated F fewer times.  Level 1 keys nothing: its steps are single maps,
-whose iterates do not repeat on the benchmark, so a key there would cost
-time and save none.  The outer loop in :func:`vfsolve.hybrid.solve` stops
-at its first repeat by the same rule, and the solve reports the paper's
-count in closed form.  This assumes F is a function of its argument, as the
-paper's maps are.
+evaluated F fewer times.  One of its steps has already inverted the lower
+levels at that iterate, so it hands that inverse back as well, and
+:func:`p_inverse`, or the chain of the level above, does not solve the lower
+levels again.  Level 1 keys nothing and calls nothing below it: its steps
+are single maps, whose iterates do not repeat on the benchmark, so a key
+there would cost time and save none.  The outer loop in
+:func:`vfsolve.hybrid.solve` stops at its first repeat by the same rule, and
+the solve reports the paper's count in closed form.  This assumes F is a
+function of its argument, as the paper's maps are.
 
 ``F`` is any callable mapping a 1-d ndarray to one of the same shape;
 ``cfg.op_counter`` tallies its evaluations.  F need not check its output:
@@ -86,22 +89,28 @@ class ContinuationConfig:
 def level_solve(F, level: int, target, cfg: ContinuationConfig):
     """n0 fixed-point steps of w <- -eps0*F(chain(w)) + target at one level.
 
-    ``chain`` inverts all lower levels (a fresh :func:`level_solve` for each),
-    so the cost is exponential in ``level``.  The iteration starts from the
-    target itself.  At a level >= 2 each iterate is kept by its bytes, after
-    the step's finiteness check; when w_t repeats an earlier w_i the loop
-    returns w_(cycle_index(i, t, n0)), the array the n0-step loop ends on.
+    ``chain`` inverts all lower levels (a fresh level solve for each, down to
+    the first that hands back its lower inverse), so the cost is exponential
+    in ``level``.  The iteration starts from the target itself.  At a level
+    >= 2 each iterate is kept by its bytes, with the chain's result at it,
+    after the step's finiteness check; when w_t repeats an earlier w_i the
+    loop returns w_(cycle_index(i, t, n0)), the array the n0-step loop ends on.
     """
     if not 1 <= level <= cfg.N:
         raise ValueError(f"level must be in [1, {cfg.N}], got {level}")
-    target = np.asarray(target, dtype=float)
-    lower, scale = range(level - 1, 0, -1), -cfg.eps0
+    return _level(F, level, np.asarray(target, dtype=float), cfg)[0]
+
+
+def _level(F, level: int, target: np.ndarray, cfg: ContinuationConfig) -> tuple:
+    """:func:`level_solve`'s loop.  Returns (w, v) with v = P_(level-1)^(-1)(w)
+    when a step already computed it, that is when the loop stopped at a
+    repeat, and v = None otherwise."""
+    scale = -cfg.eps0
     w = target.copy()
-    ws, first = [w], ({w.tobytes(): 0} if level > 1 else None)  # w_i, bytes of w_i -> i
+    # w_i, the chain's v_(i+1) = P_(level-1)^(-1)(w_i), and bytes of w_i -> i
+    ws, vs, first = [w], [], ({w.tobytes(): 0} if level > 1 else None)
     for t in range(1, cfg.n0 + 1):
-        v = w
-        for lev in lower:
-            v = level_solve(F, lev, v, cfg)
+        v = _inverse(F, level - 1, w, cfg) if level > 1 else w
         w = np.multiply(F(v), scale, dtype=float)  # a fresh array: F's stays as it was
         cfg.op_counter += 1
         w += target
@@ -113,21 +122,33 @@ def level_solve(F, level: int, target, cfg: ContinuationConfig):
             )
         if first is not None:
             ws.append(w)
+            vs.append(v)
             i = first.setdefault(w.tobytes(), t)
             if i < t:
-                return ws[cycle_index(i, t, cfg.n0)]
-    return w
+                j = cycle_index(i, t, cfg.n0)
+                return ws[j], vs[j]
+    return w, None
+
+
+def _inverse(F, level: int, y: np.ndarray, cfg: ContinuationConfig) -> np.ndarray:
+    """P_level^(-1)(y): levels ``level`` … 1 in turn, each on the result of
+    the one above, until a level hands back the lower inverse it computed.
+    Level 0 is the identity."""
+    for lev in range(level, 0, -1):
+        y, below = _level(F, lev, y, cfg)
+        if below is not None:
+            return below
+    return y
 
 
 def p_inverse(F, z, cfg: ContinuationConfig):
     """Approximate solution xi of xi + F(xi) = z.
 
     Solves the top level for y, then maps y down through the remaining
-    N-1 inversions.  The defect ||xi + F(xi) - z|| obeys :func:`inner_bound`.
+    N-1 inversions, skipping those a level's stop has already made.  The
+    defect ||xi + F(xi) - z|| obeys :func:`inner_bound`.
     """
-    for lev in range(cfg.N, 0, -1):
-        z = level_solve(F, lev, z, cfg)
-    return z
+    return _inverse(F, cfg.N, np.asarray(z, dtype=float), cfg)
 
 
 def cycle_index(i: int, t: int, n: int) -> int:

@@ -27,9 +27,10 @@ the map, for the Newton oracle's Jacobian.  Only the length-dim output of
 phi and fred is checked for non-finite values; when it fails, or when
 numpy's warning about the weighted sum is raised as an error (``python -W
 error``), the kernel's own table is searched for the offending cell to name
-in the error.  :func:`fred_unchecked`, the continuation's inner map, returns
-the raw sum (named cells only for a warning raised as an error): the
-continuation checks each iterate, and :func:`fred` names a failing one's cell.
+in the error.  :func:`shifted_fred` builds the continuation's inner map
+F1(v) = fred(v) - F(0) once per solve; it returns the raw sum (named cells
+only for a warning raised as an error): the continuation checks each
+iterate, and :func:`fred` names a failing one's cell.
 
 Separable kernels.  A problem may declare k = sum_r c_r(t, s) * e_r(s, x)
 (``Problem.k1_terms``/``k2_terms``), with c_r free of the state and e_r
@@ -75,7 +76,7 @@ __all__ = [
     "build_system",
     "phi",
     "fred",
-    "fred_unchecked",
+    "shifted_fred",
     "k1_table",
     "k2_table",
     "inner",
@@ -306,14 +307,47 @@ def phi(sys: DiscreteSystem, xi) -> np.ndarray:
     return _phi_and_table(sys, _as_state(sys, xi))[0]
 
 
-def fred_unchecked(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
-    """:func:`fred`'s weighted sum, unchecked, for a finite length-dim state."""
-    vals = k2_table(sys, v)
-    try:
-        return vals @ sys.scheme.global_weights
-    except RuntimeWarning:  # as in phi
-        _check_kernel_values(sys, "k2", v, vals)
-        raise
+def shifted_fred(sys: DiscreteSystem, f0: np.ndarray):
+    """The map v -> fred(sys, v) - f0, unchecked, for finite length-dim states.
+
+    Built once per solve: the factors, nodes row and weights are looked up
+    here, and a separable k2's table is written into one (dim, dim) buffer
+    that this map owns, so two maps of one system share nothing.  Each call
+    returns a fresh array.  Where a factor raises, the kernel builds the
+    table; a warning raised as an error in the sum names the kernel's cell,
+    as in :func:`fred`.  The subtraction is skipped only when every entry of
+    ``f0`` is +0.0, for which x - 0.0 == x bit for bit; a -0.0 keeps it.
+    """
+    split, w = sys.k2_split, sys.scheme.global_weights
+    s = sys.scheme.nodes[None, :]
+    shift = f0 if f0.any() or np.signbit(f0).any() else None  # x - (+0.0) is x
+    if split is not None:
+        (c_first, e_first), rest = split[0], split[1:]
+        buf = np.empty((sys.dim, sys.dim))
+
+    def fred_minus_f0(v):
+        vals = None
+        if split is not None:
+            x = v[None, :]
+            try:
+                np.multiply(c_first, e_first(s, x), out=buf)
+                for c, e in rest:
+                    np.add(buf, c * e(s, x), out=buf)
+                vals = buf
+            except Exception:  # the kernel raises it, with its own text
+                pass
+        if vals is None:
+            vals = _kernel_call(sys, "k2", v)
+        try:
+            out = vals @ w
+        except RuntimeWarning:  # as in phi
+            _check_kernel_values(sys, "k2", v, vals)
+            raise
+        if shift is not None:
+            out -= shift
+        return out
+
+    return fred_minus_f0
 
 
 def _fred_and_table(sys: DiscreteSystem, v: np.ndarray) -> tuple:

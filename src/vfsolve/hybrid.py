@@ -20,8 +20,10 @@ bit for bit, the rest of the iteration would recompute a cycle already
 seen: :func:`solve` stops there and returns the inverse the full loop would
 end on, bit for bit, having made fewer maps (``maps_evaluated``).  Each
 continuation level >= 2 inside Pinv stops at its own first repeat by the same
-rule (:func:`vfsolve.continuation.cycle_index`).  This assumes the kernels
-are functions of their arguments, as the paper's are.
+rule (:func:`vfsolve.continuation.cycle_index`), and hands back the lower
+inverse it has already computed there.  This assumes the kernels are
+functions of their arguments, as the paper's are.  Pinv's map F1 is built
+once per solve (:func:`vfsolve.discrete.shifted_fred`).
 
 :func:`derive_params` turns declared constants (M, L, ||g1||, eps) into the
 counts N, m, n_prime and n0; any count can be pinned instead to reproduce a
@@ -290,9 +292,11 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
     repeat is taken after the step's finiteness check and norm update, so
     the inner bound is unchanged and nothing skipped could have raised.
     Each Pinv stops its levels >= 2 the same way
-    (:func:`vfsolve.continuation.level_solve`).  Kernels with side effects
-    see fewer calls, and under an ``"always"`` warnings filter the skipped
-    steps' warnings are not shown.
+    (:func:`vfsolve.continuation.level_solve`), and takes the lower inverse
+    a stopped level hands back instead of solving it again.  F1 is
+    :func:`vfsolve.discrete.shifted_fred`, built here once.  Kernels with
+    side effects see fewer calls, and under an ``"always"`` warnings filter
+    the skipped steps' warnings are not shown.
 
     ``op_count`` is the paper's count (n0+1)^(N+1) - 1 of the iteration's
     Phi/F maps, whose result is returned whether or not a loop stopped
@@ -320,10 +324,7 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
             )
 
     # g1 and every iterate are checked, so the inner map skips fred's checks
-    def F1(v):
-        out = discrete.fred_unchecked(sys, v)
-        out -= f0
-        return out
+    F1 = discrete.shifted_fred(sys, f0)
 
     def p_inverse(z):
         try:

@@ -151,15 +151,24 @@ def _steps(hi, mid, lo):
 
 # name -> (F, target, n0, first repeat of the plain loop at levels 2 and 3,
 # maps of level_solve at levels 2 and 3 and of p_inverse, all with N = 3);
-# without a stop the maps would be n0*(n0+1), n0*(n0+1)^2 and (n0+1)^3 - 1
+# without a stop the maps would be n0*(n0+1), n0*(n0+1)^2 and (n0+1)^3 - 1.
+# A level that stops hands back the lower inverse of the iterate it returns,
+# which one of its steps computed, so the chain above it, or p_inverse, does
+# not solve the lower levels again: p_inverse then makes only the top
+# level's maps, and a level 3 whose chain's level 2 stops makes fewer maps
+# (without that reuse: 36, 105, 96, 48, 45 and 180 at level 3, and 53,
+# 125, 127, 63, 71 and 215 for p_inverse).  With "period 1", level 2 stops
+# at step 2, having made 2 * (5 + 1) = 12 maps, and hands back the level-1
+# solve of w_1 its step 2 made; each level-3 step is then one level-2 solve
+# and one map, 2 * (12 + 1) = 26, against 2 * (12 + 5 + 1) = 36
 LEVEL_CASES = {
     "no repeat": (lambda v: 0.5 * v + 0.25, [1.0, -2.0], 4, [None, None], [20, 100, 124]),
-    "period 1": (lambda v: np.full_like(v, 0.75), [1.0, -2.0], 5, [(1, 1), (1, 1)], [12, 36, 53]),
-    "period 3": (_steps(-3.0, 3.0, -6.0), [0.0], 6, [(1, 3), (1, 3)], [28, 105, 125]),
-    "period 2 from step 2": (_steps(-3.0, 6.0, -6.0), [-1.0], 7, [(2, 2), (2, 1)], [32, 96, 127]),
-    "back to the target": (_steps(0.0, 3.0, -6.0), [0.5], 7, [(0, 3), (0, 2)], [24, 48, 63]),
-    "ends on the target": (_steps(0.0, 3.0, -6.0), [0.5], 8, [(0, 2), (0, 2)], [18, 45, 71]),
-    "repeat at step n0": (lambda v: np.floor(-v), [3.0], 5, [(4, 1), None], [30, 180, 215]),
+    "period 1": (lambda v: np.full_like(v, 0.75), [1.0, -2.0], 5, [(1, 1), (1, 1)], [12, 26, 26]),
+    "period 3": (_steps(-3.0, 3.0, -6.0), [0.0], 6, [(1, 3), (1, 3)], [28, 81, 81]),
+    "period 2 from step 2": (_steps(-3.0, 6.0, -6.0), [-1.0], 7, [(2, 2), (2, 1)], [32, 75, 75]),
+    "back to the target": (_steps(0.0, 3.0, -6.0), [0.5], 7, [(0, 3), (0, 2)], [24, 34, 34]),
+    "ends on the target": (_steps(0.0, 3.0, -6.0), [0.5], 8, [(0, 2), (0, 2)], [18, 29, 29]),
+    "repeat at step n0": (lambda v: np.floor(-v), [3.0], 5, [(4, 1), None], [30, 175, 210]),
 }
 
 

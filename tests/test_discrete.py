@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from vfsolve.discrete import build_system, fred, inner, k1_table, k2_table, norm, phi, residual
+from vfsolve.discrete import (
+    build_system, fred, inner, k1_table, k2_table, norm, phi, residual, shifted_fred,
+)
 from vfsolve.expr import EvalDomainError, parse_expression, split_terms
 from vfsolve.problem import benchmark_problem, from_expressions
 from vfsolve.quadrature import build_scheme, make_grid
@@ -324,6 +326,7 @@ def test_split_domain_error_is_the_kernels():
     )
     assert _error_text(fred, sys_, xi) == want
     assert _error_text(fred, dense, xi) == want
+    assert _error_text(shifted_fred(sys_, np.zeros(10)), xi) == want
 
 
 @pytest.mark.parametrize("warnings_as_errors", [False, True])
@@ -343,6 +346,12 @@ def test_split_product_overflow_is_the_kernels_error(warnings_as_errors):
             warnings.simplefilter("error")
         assert _error_text(fred, sys_, xi) == want
         assert _error_text(fred, dense, xi) == want
+    if warnings_as_errors:
+        # the inner map returns an overflow unchecked, unless numpy's warning
+        # about it is an error: then its factors give way to the kernel
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _error_text(shifted_fred(sys_, np.zeros(10)), xi) == want
 
 
 def test_split_infinite_factor_names_the_kernels_cell():
@@ -375,10 +384,13 @@ def test_split_mixed_infinite_factor_under_warnings_as_errors(which, want):
     )
     sys_ = build_system(prob, build_scheme(make_grid(0.0, 1.0, 10), "midpoint"))
     assert sys_.k1_split is not None and sys_.k2_split is not None
+    zero = np.zeros(sys_.dim)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _error_text(phi if which == "phi" else fred, sys_, np.zeros(sys_.dim))
-    assert got == (ValueError, want)
+        got = [_error_text(phi if which == "phi" else fred, sys_, zero)]
+        if which == "fred":
+            got.append(_error_text(shifted_fred(sys_, zero), zero))
+    assert set(got) == {(ValueError, want)}
 
 
 def test_stale_terms_raise_at_build():
@@ -461,7 +473,80 @@ def test_split_calls_the_kernels_only_to_check_them():
     assert calls == {"k1": 1, "k2": 1}
     for xi in np.random.default_rng(43).uniform(-2.0, 2.0, size=(5, 11)):
         residual(sys_, xi)
+        shifted_fred(sys_, sys_.shift[1])(xi)
     assert calls == {"k1": 1, "k2": 1}
+
+
+# ---------------------------------------------------------------------------
+# shifted_fred: the continuation's inner map fred(v) - f0, built once per solve
+
+def _inner_map_system(k2, rule="midpoint", rows="half_cell"):
+    """The builtin, a two-term expression form, or the builtin's lambda k2
+    without its terms."""
+    scheme = _scheme(rule, rows)
+    if k2 == "builtin":
+        return build_system(benchmark_problem(), scheme)
+    if k2 == "two terms":
+        prob = from_expressions(
+            0.0, 1.0, k1_src="0", k2_src="t*s*x + t*sin(x)", g_src="t", M=1.0, L=1.0
+        )
+        return build_system(prob, scheme)
+    return build_system(_without_terms(benchmark_problem()), scheme)
+
+
+@pytest.mark.parametrize("k2", ["builtin", "two terms", "no terms"])
+@pytest.mark.parametrize("rule, rows", SCHEMES)
+def test_shifted_fred_is_fred_minus_f0(rule, rows, k2):
+    sys_ = _inner_map_system(k2, rule, rows)
+    terms = {"builtin": 1, "two terms": 2, "no terms": None}[k2]
+    assert (sys_.k2_split and len(sys_.k2_split)) == terms
+    rng = np.random.default_rng(44)
+    states = rng.uniform(-2.0, 2.0, size=(3, sys_.dim))
+    shifts = (np.zeros(sys_.dim), rng.uniform(-1.0, 1.0, sys_.dim), sys_.shift[1])
+    for f0 in shifts:
+        mapped = shifted_fred(sys_, f0)
+        for v in states:
+            assert mapped(v).tobytes() == (fred(sys_, v) - f0).tobytes()
+
+
+def test_shifted_fred_keeps_each_result_and_shares_no_buffer():
+    sys_ = _inner_map_system("two terms")
+    f0 = sys_.shift[1]
+    u, v = np.random.default_rng(45).uniform(-2.0, 2.0, size=(2, sys_.dim))
+    first, second = shifted_fred(sys_, f0), shifted_fred(sys_, f0)
+    at_u = first(u)
+    kept = at_u.copy()
+    at_v = first(v)
+    assert at_u.tobytes() == kept.tobytes()
+    assert not np.shares_memory(at_u, at_v)
+    # two maps of one system, called alternately, give the same bytes
+    want = {x.tobytes(): (fred(sys_, x) - f0).tobytes() for x in (u, v)}
+    for x in (u, v, u, v):
+        assert first(x).tobytes() == want[x.tobytes()]
+        assert second(x).tobytes() == want[x.tobytes()]
+
+
+def test_shifted_fred_subtracts_an_f0_holding_negative_zero():
+    # x - (-0.0) differs from x only at x = -0.0, which a weighted sum does
+    # not return, so the subtraction is watched on f0 itself
+    seen = []
+
+    class Watched(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            seen.append(ufunc.__name__)
+            inputs = [np.asarray(a) for a in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    sys_ = _inner_map_system("builtin")
+    v = np.linspace(-1.0, 1.0, sys_.dim)
+    for zeros, subtracts in (([0.0], False), ([0.0, -0.0], True), ([-0.0], True)):
+        f0 = np.resize(np.array(zeros), sys_.dim).view(Watched)
+        mapped = shifted_fred(sys_, f0)
+        seen.clear()
+        out = mapped(v)
+        assert ("subtract" in seen) == subtracts
+        assert type(out) is np.ndarray
+        assert out.tobytes() == (fred(sys_, v) - np.asarray(f0)).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -251,17 +251,22 @@ def test_shift_parts_benchmark(bench):
 
 
 def _count_maps(monkeypatch, *names):
-    """Count the calls of each ``discrete.<name>``; returns the live tally."""
+    """Count the calls of each ``discrete.<name>``, and for ``shifted_fred``
+    the calls of the maps it builds; returns the live tally."""
     maps = dict.fromkeys(names, 0)
 
     def counted(name, fn):
-        def mapped(system, xi):
+        def mapped(*args):
             maps[name] += 1
-            return fn(system, xi)
+            return fn(*args)
         return mapped
 
+    def counted_builds(name, build):
+        return lambda system, f0: counted(name, build(system, f0))
+
     for name in names:
-        monkeypatch.setattr(discrete, name, counted(name, getattr(discrete, name)))
+        wrap = counted_builds if name == "shifted_fred" else counted
+        monkeypatch.setattr(discrete, name, wrap(name, getattr(discrete, name)))
     return maps
 
 
@@ -375,9 +380,7 @@ def _full_outer_loop(sys, params, outer_callback):
     def F1(v):
         nonlocal maps
         maps += 1
-        out = discrete.fred_unchecked(sys, v)
-        out -= f0
-        return out
+        return discrete.fred(sys, v) - f0
 
     z = g1.copy()
     z_norm = discrete.norm(sys, g1)  # the largest target norm; the inner bound scales with it
@@ -415,7 +418,7 @@ def test_repeat_exit_is_bit_identical_to_the_full_loop(name, monkeypatch):
     if name == "repeat at z^(n0)":
         assert sum(repeat) == n0
 
-    maps = _count_maps(monkeypatch, "fred_unchecked", "fred", "phi")
+    maps = _count_maps(monkeypatch, "shifted_fred", "fred", "phi")
     sol = solve(sys_, params)
     assert sol.xi.tobytes() == xi.tobytes()
     budget = sol.budget
@@ -433,8 +436,8 @@ def test_repeat_exit_is_bit_identical_to_the_full_loop(name, monkeypatch):
 @pytest.mark.parametrize(
     "config, n0, maps, digest",
     [
-        ("reference.ini", 80, 90477, "6bd0b4f241c64edf5bfc74abb95c7344f6454daf3d33bc3133521962ccd5e541"),
-        ("default.ini", 55, 66640, "08e262848241fd017c7179926ddba4be3c0565e6272ccc9450ce9ff7e9c0e9c7"),
+        ("reference.ini", 80, 88317, "6bd0b4f241c64edf5bfc74abb95c7344f6454daf3d33bc3133521962ccd5e541"),
+        ("default.ini", 55, 65045, "08e262848241fd017c7179926ddba4be3c0565e6272ccc9450ce9ff7e9c0e9c7"),
     ],
     ids=["reference.ini-n0=80", "default.ini-n0=55"],
 )
@@ -445,10 +448,37 @@ def test_repeat_exit_keeps_the_pinned_solution(config, n0, maps, digest):
     params = prepare(sys_, rc.eps, n0=n0)
     sol = solve(sys_, params)
     # the outer loop stops after 27 (29) steps, each one inverse and one phi,
-    # and each inverse's level 2 at its own first repeat: full inverses would
-    # make 27 * 81^2 = 177,147 (29 * 56^2 = 90,944) maps
+    # and each inverse's level 2 at its own first repeat, which hands back the
+    # level-1 solve it already made (90,477 and 66,640 maps without that):
+    # full inverses would make 27 * 81^2 = 177,147 (29 * 56^2 = 90,944) maps
     assert sol.budget.maps_evaluated == maps
     assert hashlib.sha256(sol.xi.tobytes()).hexdigest() == digest
+
+
+def test_level_stops_in_a_chain_skip_the_lower_solve(monkeypatch):
+    # N = 3 and a weak k2 (q = 1/300): the outer loop runs all 6 steps, and
+    # the levels 2 and 3 repeat only at their last step, so without the
+    # reuse every inverse would make its full 7^3 - 1 maps (2,400 in all).
+    # A level-2 stop inside level 3's chain, and a level-3 stop in p_inverse,
+    # hand back the lower inverse their step computed, and it is not redone.
+    prob = from_expressions(
+        0.0, 1.0, k1_src="t*s*cos(x)/2", k2_src="t*s/100*x", g_src="t", M=0.5, L=0.01
+    )
+    sys_ = build_system(prob, build_scheme(make_grid(0.0, 1.0, 6), "midpoint"))
+    assert sys_.k2_split is not None
+    params = prepare(sys_, 1e-3, n0=6, N=3)
+    full = []
+    xi, inner_value, op_count, res = _full_outer_loop(
+        sys_, params, lambda t, z: full.append(z.tobytes())
+    )
+    assert _first_repeat(full) is None and op_count == 2400
+    maps = _count_maps(monkeypatch, "shifted_fred", "fred", "phi")
+    sol = solve(sys_, params)
+    assert sol.xi.tobytes() == xi.tobytes()
+    budget = sol.budget
+    assert (budget.op_count, budget.inner_bound_value, sol.residual) == (op_count, inner_value, res)
+    assert sum(maps.values()) == budget.maps_evaluated + 2
+    assert budget.maps_evaluated == 1890
 
 
 def test_solve_rejects_mismatched_params(bench):
