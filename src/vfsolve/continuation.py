@@ -17,18 +17,21 @@ full n0-step loop ends on (:func:`cycle_index`), bit for bit, having
 evaluated F fewer times.  One of its steps has already inverted the lower
 levels at that iterate, so it hands that inverse back as well, and
 :func:`p_inverse`, or the chain of the level above, does not solve the lower
-levels again.  Level 1 keys nothing and calls nothing below it: its steps
-are single maps, whose iterates do not repeat on the benchmark, so a key
-there would cost time and save none.  The outer loop in
-:func:`vfsolve.hybrid.solve` stops at its first repeat by the same rule, and
-the solve reports the paper's count in closed form.  This assumes F is a
-function of its argument, as the paper's maps are.
+levels again.  Level 1 runs in a plain loop of its own: its steps are single
+maps, whose iterates do not repeat on the benchmark, so it keys nothing,
+keeps no chain and no copy of its target, and adds its n0 maps to the tally
+once.  Almost every map a solve makes is a level-1 step, so this loop sets
+the cost per map.  The outer loop in :func:`vfsolve.hybrid.solve` stops at
+its first repeat by the same rule as the levels >= 2, and the solve reports
+the paper's count in closed form.  This assumes F is a function of its
+argument, as the paper's maps are.
 
 ``F`` is any callable mapping a 1-d ndarray to one of the same shape;
-``cfg.op_counter`` tallies its evaluations.  F need not check its output:
-each step forms its iterate on a fresh array, writing into neither F's result
-nor the target, checks it once, and raises :class:`SolverError` with F's
-argument as ``state`` when it is non-finite, for the caller to name the cause.
+``cfg.op_counter`` tallies its evaluations (where F itself raises, not those
+of the level-1 solve it raised in).  F need not check its output: each step
+forms its iterate on a fresh array, writing into neither F's result nor the
+target, checks it once, and raises :class:`SolverError` with F's argument as
+``state`` when it is non-finite, for the caller to name the cause.
 """
 
 from __future__ import annotations
@@ -95,50 +98,74 @@ def level_solve(F, level: int, target, cfg: ContinuationConfig):
     >= 2 each iterate is kept by its bytes, with the chain's result at it,
     after the step's finiteness check; when w_t repeats an earlier w_i the
     loop returns w_(cycle_index(i, t, n0)), the array the n0-step loop ends on.
+    Level 1 has no chain and runs its n0 steps in a loop of its own.
     """
     if not 1 <= level <= cfg.N:
         raise ValueError(f"level must be in [1, {cfg.N}], got {level}")
-    return _level(F, level, np.asarray(target, dtype=float), cfg)[0]
+    target = np.asarray(target, dtype=float)
+    return _level(F, level, target, cfg)[0] if level > 1 else _level1(F, target, cfg)
+
+
+def _nonfinite(level: int, step: int, state) -> SolverError:
+    """The error of a step whose iterate is non-finite; ``state`` is F's argument."""
+    return SolverError(
+        f"non-finite iterate at level {level}, step {step}; "
+        "the Lipschitz/monotonicity assumptions are likely violated",
+        state=state,
+    )
+
+
+def _level1(F, target: np.ndarray, cfg: ContinuationConfig) -> np.ndarray:
+    """Level 1's n0 steps w <- -eps0*F(w) + target, from w = target.
+
+    Each step is one map on a fresh array; the maps are added to the tally
+    once, n0 of them, or t + 1 when step t fails its finiteness check."""
+    scale = -cfg.eps0
+    w = target
+    for t in range(cfg.n0):
+        v = w
+        w = np.multiply(F(v), scale, dtype=float)  # a fresh array: F's stays as it was
+        w += target
+        if np.count_nonzero(np.isfinite(w)) != w.size:
+            cfg.op_counter += t + 1
+            raise _nonfinite(1, t, v)
+    cfg.op_counter += cfg.n0
+    return w
 
 
 def _level(F, level: int, target: np.ndarray, cfg: ContinuationConfig) -> tuple:
-    """:func:`level_solve`'s loop.  Returns (w, v) with v = P_(level-1)^(-1)(w)
-    when a step already computed it, that is when the loop stopped at a
-    repeat, and v = None otherwise."""
+    """:func:`level_solve`'s loop at a level >= 2.  Returns (w, v) with
+    v = P_(level-1)^(-1)(w) when a step already computed it, that is when the
+    loop stopped at a repeat, and v = None otherwise."""
     scale = -cfg.eps0
     w = target.copy()
     # w_i, the chain's v_(i+1) = P_(level-1)^(-1)(w_i), and bytes of w_i -> i
-    ws, vs, first = [w], [], ({w.tobytes(): 0} if level > 1 else None)
+    ws, vs, first = [w], [], {w.tobytes(): 0}
     for t in range(1, cfg.n0 + 1):
-        v = _inverse(F, level - 1, w, cfg) if level > 1 else w
-        w = np.multiply(F(v), scale, dtype=float)  # a fresh array: F's stays as it was
+        v = _inverse(F, level - 1, w, cfg)
+        w = np.multiply(F(v), scale, dtype=float)
         cfg.op_counter += 1
         w += target
         if np.count_nonzero(np.isfinite(w)) != w.size:
-            raise SolverError(
-                f"non-finite iterate at level {level}, step {t - 1}; "
-                "the Lipschitz/monotonicity assumptions are likely violated",
-                state=v,
-            )
-        if first is not None:
-            ws.append(w)
-            vs.append(v)
-            i = first.setdefault(w.tobytes(), t)
-            if i < t:
-                j = cycle_index(i, t, cfg.n0)
-                return ws[j], vs[j]
+            raise _nonfinite(level, t - 1, v)
+        ws.append(w)
+        vs.append(v)
+        i = first.setdefault(w.tobytes(), t)
+        if i < t:
+            j = cycle_index(i, t, cfg.n0)
+            return ws[j], vs[j]
     return w, None
 
 
 def _inverse(F, level: int, y: np.ndarray, cfg: ContinuationConfig) -> np.ndarray:
-    """P_level^(-1)(y): levels ``level`` … 1 in turn, each on the result of
-    the one above, until a level hands back the lower inverse it computed.
-    Level 0 is the identity."""
-    for lev in range(level, 0, -1):
+    """P_level^(-1)(y) for level >= 1: levels ``level`` … 2 in turn, each on
+    the result of the one above, until a level hands back the lower inverse
+    it computed; otherwise level 1 last."""
+    for lev in range(level, 1, -1):
         y, below = _level(F, lev, y, cfg)
         if below is not None:
             return below
-    return y
+    return _level1(F, y, cfg)
 
 
 def p_inverse(F, z, cfg: ContinuationConfig):

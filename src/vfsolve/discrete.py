@@ -30,7 +30,10 @@ error``), the kernel's own table is searched for the offending cell to name
 in the error.  :func:`shifted_fred` builds the continuation's inner map
 F1(v) = fred(v) - F(0) once per solve; it returns the raw sum (named cells
 only for a warning raised as an error): the continuation checks each
-iterate, and :func:`fred` names a failing one's cell.
+iterate, and :func:`fred` names a failing one's cell.  It calls k2's factors
+on the 1-d nodes and state and sums its own C-contiguous table with
+``np.dot``, the two cheapest calls that give fred's bits; a kernel's table,
+which may be a broadcast view, is summed with ``@`` as in fred.
 
 Separable kernels.  A problem may declare k = sum_r c_r(t, s) * e_r(s, x)
 (``Problem.k1_terms``/``k2_terms``), with c_r free of the state and e_r
@@ -310,17 +313,22 @@ def phi(sys: DiscreteSystem, xi) -> np.ndarray:
 def shifted_fred(sys: DiscreteSystem, f0: np.ndarray):
     """The map v -> fred(sys, v) - f0, unchecked, for finite length-dim states.
 
-    Built once per solve: the factors, nodes row and weights are looked up
-    here, and a separable k2's table is written into one (dim, dim) buffer
-    that this map owns, so two maps of one system share nothing.  Each call
-    returns a fresh array.  Where a factor raises, the kernel builds the
-    table; a warning raised as an error in the sum names the kernel's cell,
-    as in :func:`fred`.  The subtraction is skipped only when every entry of
-    ``f0`` is +0.0, for which x - 0.0 == x bit for bit; a -0.0 keeps it.
+    Built once per solve: the factors, nodes and weights are looked up here,
+    and a separable k2's table is written into one (dim, dim) buffer that
+    this map owns, so two maps of one system share nothing.  The factors get
+    the 1-d nodes and state, which broadcast against each c_r table as a
+    (1, dim) row does, and the buffer is summed with ``np.dot``, which gives
+    ``@``'s bits on a C-contiguous table, more cheaply.  Where a factor
+    raises, the kernel builds the table, possibly a read-only broadcast view,
+    on which the two take different code paths, so ``@`` sums it as in
+    :func:`fred`.  Each call returns a fresh array.  A warning raised as an
+    error in the sum names the kernel's cell, as in :func:`fred`.  The
+    subtraction is skipped only when every entry of ``f0`` is +0.0, for
+    which x - 0.0 == x bit for bit; a -0.0 keeps it.
     """
-    split, w = sys.k2_split, sys.scheme.global_weights
-    s = sys.scheme.nodes[None, :]
+    split, w, s = sys.k2_split, sys.scheme.global_weights, sys.scheme.nodes
     shift = f0 if f0.any() or np.signbit(f0).any() else None  # x - (+0.0) is x
+    buf = None
     if split is not None:
         (c_first, e_first), rest = split[0], split[1:]
         buf = np.empty((sys.dim, sys.dim))
@@ -328,18 +336,17 @@ def shifted_fred(sys: DiscreteSystem, f0: np.ndarray):
     def fred_minus_f0(v):
         vals = None
         if split is not None:
-            x = v[None, :]
             try:
-                np.multiply(c_first, e_first(s, x), out=buf)
+                np.multiply(c_first, e_first(s, v), out=buf)
                 for c, e in rest:
-                    np.add(buf, c * e(s, x), out=buf)
+                    np.add(buf, c * e(s, v), out=buf)
                 vals = buf
             except Exception:  # the kernel raises it, with its own text
                 pass
         if vals is None:
             vals = _kernel_call(sys, "k2", v)
         try:
-            out = vals @ w
+            out = np.dot(buf, w) if vals is buf else vals @ w
         except RuntimeWarning:  # as in phi
             _check_kernel_values(sys, "k2", v, vals)
             raise

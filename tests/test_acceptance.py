@@ -116,6 +116,42 @@ def test_solution_csv_bytes_are_pinned(table_run):
     )
 
 
+# The builtin benchmark as expression strings, with default.ini's settings:
+# its k2 splits into compiled factors, which the continuation's inner map
+# calls on every step, so these bytes pin the compiled-factor path
+EXPRESSION_BENCHMARK = """\
+[problem]
+a = 0
+b = 1
+k1 = 5*t*s*cos(x)
+k2 = (11/2)*t^2*s^2*x
+g = (11/8)*t^2 - 4*t + 5*t*cos(t) + 5*t^2*sin(t)
+exact = t
+M = 1.1785113019775793
+L = 1.1
+
+[quadrature]
+rule = midpoint
+cells = 50
+volterra_rows = half_cell
+
+[solver]
+eps = 1e-3
+method = continuation
+audit = true
+seed = 12345
+"""
+
+
+def test_expression_solution_csv_bytes_are_pinned(tmp_path):
+    config, out = tmp_path / "expression.ini", tmp_path / "solution.csv"
+    config.write_text(EXPRESSION_BENCHMARK)
+    assert cli.main(["solve", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "27f1454b2a9911ca230f3e40cf97543789d3ccffd0d8ef702dff0c6659c837c2"
+    )
+
+
 # -------------------------------------------------------------- criterion 2
 
 def test_criterion_2_parameter_derivation(half_sys):

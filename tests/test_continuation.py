@@ -193,6 +193,48 @@ def test_level_stop_is_bit_identical_to_the_plain_loop(name):
     assert got == maps
 
 
+@pytest.mark.parametrize("name", list(LEVEL_CASES))
+def test_level_one_is_bit_identical_to_the_plain_loop(name):
+    F, y, n0, _, _ = LEVEL_CASES[name]
+    y = np.array(y)
+    cfg = _cfg(0.9, 3, n0)
+    out = level_solve(F, 1, y, cfg)
+    assert out.tobytes() == _plain_level(F, 1, y, 3, n0).tobytes()
+    assert not np.shares_memory(out, y)
+    assert cfg.op_counter == n0
+
+
+@pytest.mark.parametrize("n0", [1, 2, 5])
+def test_level_one_never_returns_its_target(n0):
+    # maps that hand back their argument, or an array they keep, at every step
+    y, kept = np.array([0.5, -1.0]), np.array([0.0, 0.0])
+    for F in (lambda v: v, lambda v: kept, lambda v: np.zeros_like(v)):
+        out = level_solve(F, 1, y, _cfg(0.0, 1, n0))
+        assert not np.shares_memory(out, y)
+        assert not np.shares_memory(out, kept)
+        assert out.tobytes() == _plain_level(F, 1, y, 1, n0).tobytes()
+    assert y.tolist() == [0.5, -1.0]
+
+
+@pytest.mark.parametrize("step", [0, 1, 4])
+def test_nonfinite_level_one_step_counts_the_maps_made(step):
+    cfg, argument = _cfg(0.5, 2, 5), []
+
+    def F(v):
+        argument.append(v.copy())
+        return np.full_like(v, np.nan) if len(argument) == step + 1 else 0.5 * v
+
+    y = np.array([1.0, 2.0])
+    with pytest.raises(SolverError) as info:
+        level_solve(F, 1, y, cfg)
+    assert str(info.value) == (
+        f"non-finite iterate at level 1, step {step}; "
+        "the Lipschitz/monotonicity assumptions are likely violated"
+    )
+    assert cfg.op_counter == len(argument) == step + 1
+    assert info.value.state.tobytes() == argument[-1].tobytes()
+
+
 def test_nonfinite_level_iterate_raises_before_any_repeat():
     # level 2's second step leaves the region where F is finite: u_0 and u_1
     # differ, so the stop never fires and the step raises as in the full loop

@@ -480,10 +480,10 @@ def test_split_calls_the_kernels_only_to_check_them():
 # ---------------------------------------------------------------------------
 # shifted_fred: the continuation's inner map fred(v) - f0, built once per solve
 
-def _inner_map_system(k2, rule="midpoint", rows="half_cell"):
+def _inner_map_system(k2, rule="midpoint", rows="half_cell", n=10):
     """The builtin, a two-term expression form, or the builtin's lambda k2
     without its terms."""
-    scheme = _scheme(rule, rows)
+    scheme = _scheme(rule, rows, n=n)
     if k2 == "builtin":
         return build_system(benchmark_problem(), scheme)
     if k2 == "two terms":
@@ -507,6 +507,22 @@ def test_shifted_fred_is_fred_minus_f0(rule, rows, k2):
         mapped = shifted_fred(sys_, f0)
         for v in states:
             assert mapped(v).tobytes() == (fred(sys_, v) - f0).tobytes()
+
+
+# grid sizes from 1 to 401 nodes, on both sides of dim 50, where a BLAS gemv
+# may split its sums differently
+@pytest.mark.parametrize("cells", [1, 2, 3, 7, 16, 51, 64, 200, 400])
+@pytest.mark.parametrize("rule, rows", [("midpoint", "half_cell"), ("trapezoid", None)])
+@pytest.mark.parametrize("k2", ["builtin", "two terms"])
+def test_shifted_fred_sums_like_fred_at_every_size(k2, rule, rows, cells):
+    # the map sums its own buffer with np.dot, fred its table with @
+    sys_ = _inner_map_system(k2, rule, rows, n=cells)
+    assert sys_.k2_split is not None
+    rng = np.random.default_rng(cells)
+    f0 = sys_.shift[1]
+    mapped = shifted_fred(sys_, f0)
+    for v in rng.uniform(-2.0, 2.0, size=(2, sys_.dim)):
+        assert mapped(v).tobytes() == (fred(sys_, v) - f0).tobytes()
 
 
 def test_shifted_fred_keeps_each_result_and_shares_no_buffer():
