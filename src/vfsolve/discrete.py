@@ -30,27 +30,27 @@ error``), the kernel's own table is searched for the offending cell to name
 in the error.  :func:`shifted_fred` builds the continuation's inner map
 F1(v) = fred(v) - F(0) once per solve; it returns the raw sum (named cells
 only for a warning raised as an error): the continuation checks each
-iterate, and :func:`fred` names a failing one's cell.  It calls k2's factors
-on the 1-d nodes and state and sums its own C-contiguous table with
-``np.dot``, the two cheapest calls that give fred's bits; a kernel's table,
-which may be a broadcast view, is summed with ``@`` as in fred.
+iterate, and :func:`fred` names a failing one's cell.  It writes a form's
+table into a (dim, dim) buffer of its own and sums it with ``np.dot``, the
+cheapest calls that give fred's bits; a kernel's table, which may be a
+broadcast view, is summed with ``@`` as in fred.
 
 Separable kernels.  A problem may declare k = sum_r c_r(t, s) * e_r(s, x)
 (``Problem.k1_terms``/``k2_terms``), with c_r free of the state and e_r
 free of t.  :func:`build_system` checks the form against the kernel at dim
 points (t_i, s_i, g_i), with s_i <= t_i for k1: a mismatch beyond 1e-12
-relative is a ValueError, and a form whose check raises or is non-finite is
-not used.  Each c_r is evaluated on the kernel's own (t, s) table, once
-per system.  A table then costs dim evaluations of each e_r, on the row
-(s_j, xi_j), and one multiply-add per term, instead of dim^2 kernel
-evaluations; the points (s_j, xi_j) are ones the kernel's own table holds
-in its last row.  A form that repeats the kernel's last
+relative is a ValueError, and a form whose check raises, is non-finite or
+is not real is not used.  Each c_r is evaluated on the kernel's own (t, s)
+table, once per system.  :func:`_write_split` writes every table of a form
+from dim evaluations of each e_r, on the row (s_j, xi_j), instead of dim^2
+kernel evaluations; the points (s_j, xi_j) are ones the kernel's own table
+holds in its last row.  A form that repeats the kernel's last
 operations, as the builtin's and :func:`vfsolve.expr.split_terms`'s do,
 gives tables bit-identical to the kernel's in every cell phi, fred and the
-Jacobian use.
-Where a c_r or e_r raises, the kernel builds the table, and phi and fred
-name a non-finite cell from the kernel's own table, so errors and their
-texts are the kernel's.
+Jacobian use.  Where a c_r or e_r raises, or a row does not broadcast or
+cast to float, the kernel builds the table, and phi and fred name a
+non-finite cell from the kernel's own table, so errors and their texts are
+the kernel's.
 
 Stacked tables.  :func:`k1_table` and :func:`k2_table` also take a stack of
 states, (P, dim) or with more leading axes, the grid on the last axis, and
@@ -146,6 +146,8 @@ def _checked_terms(which: str, kernel, terms, t, s, x) -> tuple | None:
     split = parts[0]
     for part in parts[1:]:
         split = split + part
+    if np.result_type(split, float).kind != "f":  # complex, say: no float table
+        return None
     if np.equal(split, dense).all():  # bit-identical (NaN never is)
         return terms
     if not (np.isfinite(split).all() and np.isfinite(dense).all()):
@@ -232,19 +234,38 @@ def _kernel_call(sys: DiscreteSystem, which: str, v: np.ndarray) -> np.ndarray:
     return _kernel_table(vals, _table_shape(v))
 
 
-def _split_table(split, nodes: np.ndarray, v: np.ndarray):
-    """sum_r c_r * e_r(s_j, v_j) as a table, or None for the kernel to decide."""
-    s, x = nodes[None, :], v[..., None, :]
+def _write_split(split, s, x, out=None) -> np.ndarray:
+    """sum_r c_r * e_r(s, x) in ``out``, or in a fresh table of the terms'
+    broadcast shape: each row copied in by broadcast, then multiplied in
+    place by its c_r table (the bits of ``c_r * row``, and faster than it
+    into an existing table), and further terms added in place, left to right."""
     vals = None
-    try:
-        for c_table, e in split:
-            term = c_table * e(s, x)
-            vals = term if vals is None else vals + term
-        if v.ndim > 1:  # terms free of x leave one (dim, dim) table for the stack
-            vals = _kernel_table(vals, _table_shape(v))
-    except Exception:  # the kernel raises it, with its own text
-        return None
+    for c_table, e in split:
+        row = e(s, x)
+        fresh = vals is not None or out is None
+        term = np.empty(np.broadcast(c_table, row).shape) if fresh else out
+        np.copyto(term, row)
+        np.multiply(term, c_table, out=term)
+        if vals is None:
+            vals = term
+        elif out is None and vals.ndim < term.ndim:  # x-free terms so far: a stack
+            vals = vals + term
+        else:
+            np.add(vals, term, out=vals)
     return vals
+
+
+def _table(sys: DiscreteSystem, which: str, v: np.ndarray) -> np.ndarray:
+    """The table of ``which`` ("k1" or "k2"): the form's where it serves, else the kernel's."""
+    split = getattr(sys, f"{which}_split")
+    if split is not None:
+        try:
+            vals = _write_split(split, sys.scheme.nodes[None, :], v[..., None, :])
+            # terms free of x leave one (dim, dim) table for a stack
+            return _kernel_table(vals, _table_shape(v))
+        except Exception:  # the kernel raises it, with its own text
+            pass
+    return _kernel_call(sys, which, v)
 
 
 def _check_kernel_values(sys: DiscreteSystem, which: str, v: np.ndarray, vals=None) -> None:
@@ -271,19 +292,13 @@ def k1_table(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     Cells outside ``sys.volterra_mask`` hold values from clamped in-domain
     points, such as k1 at (s_0, v_0); callers must discard them.
     """
-    split = sys.k1_split
-    if split is not None and (vals := _split_table(split, sys.scheme.nodes, v)) is not None:
-        return vals
-    return _kernel_call(sys, "k1", v)
+    return _table(sys, "k1", v)
 
 
 def k2_table(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     """k2(t_i, s_j, v_j) as a (dim, dim) table, possibly a read-only view;
     a (P, dim) stack of states gives a (P, dim, dim) stack of tables."""
-    split = sys.k2_split
-    if split is not None and (vals := _split_table(split, sys.scheme.nodes, v)) is not None:
-        return vals
-    return _kernel_call(sys, "k2", v)
+    return _table(sys, "k2", v)
 
 
 def _volterra_sum(sys: DiscreteSystem, vals: np.ndarray) -> np.ndarray:
@@ -313,34 +328,27 @@ def phi(sys: DiscreteSystem, xi) -> np.ndarray:
 def shifted_fred(sys: DiscreteSystem, f0: np.ndarray):
     """The map v -> fred(sys, v) - f0, unchecked, for finite length-dim states.
 
-    Built once per solve: the factors, nodes and weights are looked up here,
-    and a separable k2's table is written into one (dim, dim) buffer that
-    this map owns, so two maps of one system share nothing.  The factors get
-    the 1-d nodes and state, which broadcast against each c_r table as a
-    (1, dim) row does, and the buffer is summed with ``np.dot``, which gives
-    ``@``'s bits on a C-contiguous table, more cheaply.  Where a factor
-    raises, the kernel builds the table, possibly a read-only broadcast view,
-    on which the two take different code paths, so ``@`` sums it as in
-    :func:`fred`.  Each call returns a fresh array.  A warning raised as an
-    error in the sum names the kernel's cell, as in :func:`fred`.  The
-    subtraction is skipped only when every entry of ``f0`` is +0.0, for
-    which x - 0.0 == x bit for bit; a -0.0 keeps it.
+    Built once per solve: the form, nodes and weights are looked up here,
+    and :func:`_write_split` writes a separable k2's table into one
+    (dim, dim) buffer that this map owns, so two maps of one system share
+    nothing.  The factors get the 1-d nodes and state, and the buffer is
+    summed with ``np.dot``, which gives ``@``'s bits on a C-contiguous
+    table, more cheaply.  Where the writer fails, the kernel builds the
+    table, possibly a read-only broadcast view, on which the two take
+    different code paths, so ``@`` sums it as in :func:`fred`.  Each call
+    returns a fresh array.  A warning raised as an error in the sum names
+    the kernel's cell, as in :func:`fred`.  The subtraction is skipped only
+    when every entry of ``f0`` is +0.0, for which x - 0.0 == x bit for bit.
     """
     split, w, s = sys.k2_split, sys.scheme.global_weights, sys.scheme.nodes
     shift = f0 if f0.any() or np.signbit(f0).any() else None  # x - (+0.0) is x
-    buf = None
-    if split is not None:
-        (c_first, e_first), rest = split[0], split[1:]
-        buf = np.empty((sys.dim, sys.dim))
+    buf = None if split is None else np.empty((sys.dim, sys.dim))
 
     def fred_minus_f0(v):
         vals = None
         if split is not None:
             try:
-                np.multiply(c_first, e_first(s, v), out=buf)
-                for c, e in rest:
-                    np.add(buf, c * e(s, v), out=buf)
-                vals = buf
+                vals = _write_split(split, s, v, buf)
             except Exception:  # the kernel raises it, with its own text
                 pass
         if vals is None:

@@ -9,6 +9,7 @@ from vfsolve.discrete import (
     build_system, fred, inner, k1_table, k2_table, norm, phi, residual, shifted_fred,
 )
 from vfsolve.expr import EvalDomainError, parse_expression, split_terms
+from vfsolve.hybrid import prepare, solve
 from vfsolve.problem import benchmark_problem, from_expressions
 from vfsolve.quadrature import build_scheme, make_grid
 
@@ -563,6 +564,213 @@ def test_shifted_fred_subtracts_an_f0_holding_negative_zero():
         assert ("subtract" in seen) == subtracts
         assert type(out) is np.ndarray
         assert out.tobytes() == (fred(sys_, v) - np.asarray(f0)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the separable-table writer: every row a factor may return, every state shape
+
+
+def _kernel_of(terms):
+    """The kernel sum_r c_r(t, s) * e_r(s, x), summed from the left."""
+    def kernel(t, s, x):
+        vals = None
+        for c, e in terms:
+            term = c(t, s) * e(s, x)
+            vals = term if vals is None else vals + term
+        return vals
+    return kernel
+
+
+def test_inner_maps_of_one_system_share_no_buffer():
+    # the second factor runs the other map of the same system while the first
+    # map's table holds its first term: a shared buffer would lose that term
+    pending = []
+
+    def e2(s, x):
+        if pending and x.ndim == 1:
+            pending.pop()(1.0 - x)
+        return np.sin(x)
+
+    terms = ((lambda t, s: t * s, lambda s, x: x), (lambda t, s: t + s, e2))
+    prob = dataclasses.replace(benchmark_problem(), k2=_kernel_of(terms), k2_terms=terms)
+    sys_ = build_system(prob, _scheme("trapezoid", None))
+    assert sys_.k2_split is not None
+    f0 = sys_.shift[1]
+    first, second = shifted_fred(sys_, f0), shifted_fred(sys_, f0)
+    v = np.random.default_rng(47).uniform(-2.0, 2.0, sys_.dim)
+    want = (fred(sys_, v) - f0).tobytes()
+    for mapped, other in ((first, second), (second, first)):
+        pending.append(other)
+        assert mapped(v).tobytes() == want
+        assert not pending
+
+
+def _c(t, s):
+    return 5.5 * (t * t) * (s * s)
+
+
+WRITER_DIM = 11  # trapezoid on 10 cells
+
+# forms whose kernel repeats their operations, so the tables agree bit for bit;
+# each e_r result is a kind the writer copies into its table
+WRITER_FORMS = {
+    "state itself": ((_c, lambda s, x: x),),
+    "row": ((_c, lambda s, x: np.sin(s) * x),),
+    "python scalar": ((_c, lambda s, x: 2.5),),
+    "0-d array": ((_c, lambda s, x: np.array(-1.25)),),
+    "table": (
+        (_c, lambda s, x: np.array(np.broadcast_to(x, x.shape[:-2] + (WRITER_DIM,) * 2))),
+    ),
+    "int64": ((_c, lambda s, x: np.round(4.0 * x).astype(np.int64)),),
+    "float32": ((_c, lambda s, x: np.asarray(x, dtype=np.float32)),),
+    "two terms": ((_c, lambda s, x: x), (lambda t, s: t + s, lambda s, x: np.cos(x))),
+    "x-free first term": ((_c, lambda s, x: 2.5), (lambda t, s: t - s, lambda s, x: x)),
+    "x-free second term": ((_c, lambda s, x: x), (lambda t, s: t - s, lambda s, x: 2.5)),
+}
+X_FREE = {"python scalar", "0-d array"}
+
+
+def _product(sys_, terms, v):
+    """The form's table as numpy's broadcast multiply gives it: c_r * e_r
+    term by term, summed from the left, for a state or a stack of them."""
+    nodes = sys_.scheme.nodes
+    t, s = nodes[:, None], nodes[None, :]
+    vals = None
+    for c, e in terms:
+        term = np.broadcast_to(c(t, s), (sys_.dim,) * 2) * e(s, v[..., None, :])
+        vals = term if vals is None else vals + term
+    return np.broadcast_to(vals, v.shape[:-1] + (sys_.dim,) * 2)
+
+
+@pytest.mark.parametrize("form", list(WRITER_FORMS))
+def test_writer_tables_are_the_products_and_the_kernels(form):
+    terms = WRITER_FORMS[form]
+    kernel, calls = _kernel_of(terms), []
+
+    def counted(t, s, x):
+        calls.append(x.shape)
+        return kernel(t, s, x)
+
+    prob = dataclasses.replace(
+        benchmark_problem(), k1=counted, k2=counted, k1_terms=terms, k2_terms=terms
+    )
+    sys_ = build_system(prob, _scheme("trapezoid", None))
+    plain = dataclasses.replace(_without_terms(prob), k1=kernel, k2=kernel)
+    dense = build_system(plain, sys_.scheme)
+    assert sys_.dim == WRITER_DIM
+    assert sys_.k1_split is not None and sys_.k2_split is not None
+    # once each to check the form, and never after: the writer served every table
+    assert len(calls) == 2
+    mask = sys_.volterra_mask
+    rng = np.random.default_rng(46)
+    # a state, a (P, dim) stack and a (P1, P2, dim) stack
+    for v in (rng.uniform(-2.0, 2.0, shape + (WRITER_DIM,)) for shape in ((), (3,), (2, 3))):
+        kept = v.copy()
+        got = k2_table(sys_, v)
+        assert got.shape == v.shape[:-1] + (WRITER_DIM,) * 2
+        assert got.tobytes() == _product(sys_, terms, v).tobytes()
+        assert got.tobytes() == k2_table(dense, v).tobytes()
+        got1 = k1_table(sys_, v)
+        assert got1.shape == got.shape
+        assert got1[..., mask].tobytes() == k1_table(dense, v)[..., mask].tobytes()
+        if v.ndim > 1 and form in X_FREE:
+            # terms free of x give one table, broadcast to the stack
+            assert got.strides[: v.ndim - 1] == (0,) * (v.ndim - 1)
+        assert not np.shares_memory(got, v) and not np.shares_memory(got1, v)
+        assert v.tobytes() == kept.tobytes()
+    # the inner map writes the same table into its own buffer
+    f0 = sys_.shift[1]
+    mapped = shifted_fred(sys_, f0)
+    for v in rng.uniform(-2.0, 2.0, size=(2, WRITER_DIM)):
+        kept = v.copy()
+        assert mapped(v).tobytes() == (fred(dense, v) - f0).tobytes()
+        assert v.tobytes() == kept.tobytes()
+    assert len(calls) == 2
+
+
+def _refuse(row):
+    raise ArithmeticError("this factor refuses large states")
+
+
+# e = (s*s)*x for states up to 10, else a raise, a row that does not
+# broadcast to the table, or a complex row that does not cast to float
+FALLBACK_ROWS = {
+    "raises": _refuse,
+    "shape": lambda row: np.append(row, 0.0),
+    "complex": lambda row: row + 0j,
+}
+
+
+@pytest.mark.parametrize("bad", list(FALLBACK_ROWS))
+def test_unusable_factor_result_gets_the_kernels_table(bad):
+    def e(s, x):
+        row = (s * s) * x
+        return FALLBACK_ROWS[bad](row) if np.max(x) > 10.0 else row
+
+    # 5.5*t^2 * (s^2*x) rounds apart from the kernel's 5.5*t^2*s^2*x in some
+    # cells, so the two tables tell which one served
+    prob = dataclasses.replace(benchmark_problem(), k2_terms=((lambda t, s: 5.5 * (t * t), e),))
+    sys_ = build_system(prob, _scheme("trapezoid", None))
+    dense = build_system(_without_terms(prob), sys_.scheme)
+    assert sys_.k2_split is not None
+    rng = np.random.default_rng(48)
+    small = rng.uniform(-2.0, 2.0, (3, sys_.dim))
+    large = small.copy()
+    large[:, 4] = 20.0
+    for states, served in ((small, sys_), (large, dense)):
+        for v in (states[0], states):
+            assert k2_table(sys_, v).tobytes() == k2_table(served, v).tobytes()
+    assert k2_table(sys_, small).tobytes() != k2_table(dense, small).tobytes()
+    f0 = sys_.shift[1]
+    mapped = shifted_fred(sys_, f0)
+    assert mapped(large[0]).tobytes() == (fred(dense, large[0]) - f0).tobytes()
+
+
+@pytest.mark.parametrize("warnings_as_errors", [False, True])
+def test_split_multiply_overflow_names_the_kernels_cell(warnings_as_errors):
+    # finite factors whose product overflows in the writer's multiply; the
+    # kernel gives the same inf without a warning, and names its cell
+    def kernel(t, s, x):
+        with np.errstate(over="ignore"):
+            return (1e200 * t) * (1e150 * x)
+
+    terms = ((lambda t, s: 1e200 * t, lambda s, x: 1e150 * x),)
+    prob = dataclasses.replace(
+        benchmark_problem(), k1=kernel, k2=kernel, g=lambda t: 0.0 * t,
+        k1_terms=terms, k2_terms=terms,
+    )
+    sys_ = build_system(prob, _scheme("midpoint", "half_cell"))
+    dense = build_system(_without_terms(prob), sys_.scheme)
+    assert sys_.k1_split is not None and sys_.k2_split is not None
+    xi = np.linspace(0.0, 1e10, sys_.dim)
+    zero = np.zeros(sys_.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if warnings_as_errors else "ignore")
+        for fn, want in (
+            (phi, "volterra kernel k1 evaluated non-finite at mesh cell (i=1, j=1)"),
+            (fred, "fredholm kernel k2 evaluated non-finite at mesh cell (i=0, j=1)"),
+        ):
+            assert _error_text(fn, sys_, xi) == _error_text(fn, dense, xi) == (ValueError, want)
+        got = shifted_fred(sys_, zero)(xi)
+        assert got.tobytes() == shifted_fred(dense, zero)(xi).tobytes()
+    assert np.isinf(got).all()
+
+
+def test_complex_form_is_not_used():
+    # np.equal calls x + 0j equal to x, so the check alone passes this form,
+    # whose tables would be complex
+    terms = ((lambda t, s: 5.5 * (t * t) * (s * s), lambda s, x: x + 0j),)
+    prob = dataclasses.replace(benchmark_problem(), k2_terms=terms)
+    termless = dataclasses.replace(prob, k2_terms=None)
+    scheme = build_scheme(make_grid(0.0, 1.0, 10), "midpoint")
+    sys_, plain = build_system(prob, scheme), build_system(termless, scheme)
+    assert sys_.problem.k2_terms is not None and sys_.k2_terms is None and sys_.k2_split is None
+    assert sys_.k1_split is not None
+    xi = np.linspace(-1.0, 1.0, 10)
+    got = fred(sys_, xi)
+    assert got.dtype == np.float64 and got.tobytes() == fred(plain, xi).tobytes()
+    want = solve(plain, prepare(plain, 1e-1)).xi
+    assert solve(sys_, prepare(sys_, 1e-1)).xi.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
