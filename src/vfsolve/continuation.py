@@ -9,22 +9,19 @@ P_k(x) = x + k*eps0*F(x) and P_0 = I, so that P = P_N, level k solves
 by n0 fixed-point steps from u = y, each a contraction by q = L*eps0 < 1, and
 then P_k^{-1}(y) = P_{k-1}^{-1}(u).  Every step re-solves all lower levels
 from scratch, so with n0 steps per level the paper counts (n0+1)^N - 1
-evaluations of F for one :func:`p_inverse`.  A step is a function of the
-bits of its iterate, so once an iterate of a level >= 2 repeats an earlier
-one bit for bit, the rest of that level's loop would recompute a cycle
-already seen: :func:`level_solve` stops there and returns the iterate the
-full n0-step loop ends on (:func:`cycle_index`), bit for bit, having
+evaluations of F for one :func:`p_inverse`.  Each level >= 2 runs its steps
+in :func:`repeat_stop`, which stops at the first bitwise repeat of an
+iterate and returns the bits the full n0-step loop ends on, having
 evaluated F fewer times.  One of its steps has already inverted the lower
-levels at that iterate, so it hands that inverse back as well, and
+levels at that iterate, so the level hands that inverse back as well, and
 :func:`p_inverse`, or the chain of the level above, does not solve the lower
 levels again.  Level 1 runs in a plain loop of its own: its steps are single
 maps, whose iterates do not repeat on the benchmark, so it keys nothing,
 keeps no chain and no copy of its target, and adds its n0 maps to the tally
 once.  Almost every map a solve makes is a level-1 step, so this loop sets
-the cost per map.  The outer loop in :func:`vfsolve.hybrid.solve` stops at
-its first repeat by the same rule as the levels >= 2, and the solve reports
-the paper's count in closed form.  This assumes F is a function of its
-argument, as the paper's maps are.
+the cost per map.  The outer loop of :func:`vfsolve.hybrid.solve` runs in
+:func:`repeat_stop` too, and the solve reports the paper's count in closed
+form.
 
 ``F`` is any callable mapping a 1-d ndarray to one of the same shape;
 ``cfg.op_counter`` tallies its evaluations (where F itself raises, not those
@@ -47,7 +44,7 @@ __all__ = [
     "SolverError",
     "level_solve",
     "p_inverse",
-    "cycle_index",
+    "repeat_stop",
     "growth",
     "inner_bound",
 ]
@@ -68,6 +65,8 @@ class ContinuationConfig:
 
     ``q`` is the per-level contraction factor L*eps0 with sub-step
     eps0 = 1/N, and must be < 1 for any of this to converge.
+    ``op_counter`` tallies the maps made: F's here, and the outer Phi maps
+    of :func:`vfsolve.hybrid.solve`, which adds its own.
     """
 
     N: int
@@ -94,11 +93,10 @@ def level_solve(F, level: int, target, cfg: ContinuationConfig):
 
     ``chain`` inverts all lower levels (a fresh level solve for each, down to
     the first that hands back its lower inverse), so the cost is exponential
-    in ``level``.  The iteration starts from the target itself.  At a level
-    >= 2 each iterate is kept by its bytes, with the chain's result at it,
-    after the step's finiteness check; when w_t repeats an earlier w_i the
-    loop returns w_(cycle_index(i, t, n0)), the array the n0-step loop ends on.
-    Level 1 has no chain and runs its n0 steps in a loop of its own.
+    in ``level``.  The iteration starts from the target itself.  A level
+    >= 2 runs in :func:`repeat_stop`, so it may stop early, with the bits of
+    the full loop.  Level 1 has no chain and runs its n0 steps in a loop of
+    its own.
     """
     if not 1 <= level <= cfg.N:
         raise ValueError(f"level must be in [1, {cfg.N}], got {level}")
@@ -134,27 +132,20 @@ def _level1(F, target: np.ndarray, cfg: ContinuationConfig) -> np.ndarray:
 
 
 def _level(F, level: int, target: np.ndarray, cfg: ContinuationConfig) -> tuple:
-    """:func:`level_solve`'s loop at a level >= 2.  Returns (w, v) with
-    v = P_(level-1)^(-1)(w) when a step already computed it, that is when the
-    loop stopped at a repeat, and v = None otherwise."""
+    """:func:`level_solve`'s loop at a level >= 2, by :func:`repeat_stop`.
+    Returns (w, v) with v = P_(level-1)^(-1)(w) when a step already computed
+    it, that is when the loop stopped at a repeat, and v = None otherwise."""
     scale = -cfg.eps0
-    w = target.copy()
-    # w_i, the chain's v_(i+1) = P_(level-1)^(-1)(w_i), and bytes of w_i -> i
-    ws, vs, first = [w], [], {w.tobytes(): 0}
-    for t in range(1, cfg.n0 + 1):
-        v = _inverse(F, level - 1, w, cfg)
+
+    def step(v, t):
         w = np.multiply(F(v), scale, dtype=float)
         cfg.op_counter += 1
         w += target
         if np.count_nonzero(np.isfinite(w)) != w.size:
             raise _nonfinite(level, t - 1, v)
-        ws.append(w)
-        vs.append(v)
-        i = first.setdefault(w.tobytes(), t)
-        if i < t:
-            j = cycle_index(i, t, cfg.n0)
-            return ws[j], vs[j]
-    return w, None
+        return w
+
+    return repeat_stop(step, lambda w: _inverse(F, level - 1, w, cfg), target.copy(), cfg.n0)
 
 
 def _inverse(F, level: int, y: np.ndarray, cfg: ContinuationConfig) -> np.ndarray:
@@ -178,12 +169,35 @@ def p_inverse(F, z, cfg: ContinuationConfig):
     return _inverse(F, cfg.N, np.asarray(z, dtype=float), cfg)
 
 
-def cycle_index(i: int, t: int, n: int) -> int:
-    """Which of x_0 … x_t an n-step iteration x_(k+1) = T(x_k) ends on, when
-    x_t is the first iterate to repeat an earlier x_i (i < t <= n): from step i
-    on the iterates cycle with period t - i, so x_n = x_(i + (n - i) mod (t - i)).
+def repeat_stop(step, inverse, x: np.ndarray, n: int) -> tuple:
+    """n steps x_t = step(inverse(x_(t-1)), t) from x_0 = x, stopped at the
+    first bitwise repeat: returns (x_n, inverse(x_n)) if an iterate repeats,
+    else (x_n, None).
+
+    The repeat rule of the outer loop of :func:`vfsolve.hybrid.solve` and of
+    every continuation level >= 2.  Each x_t is kept by its bytes, with the
+    inverse at it.  A step is a function of the bits of its argument, so
+    when x_t is bit for bit an earlier x_i the iterates cycle with period
+    t - i from step i on, and the n-step loop ends on x_j with
+    j = i + (n - i) mod (t - i): the loop returns x_j and its inverse, both
+    in hand.  Only identical bits count (-0.0 and 0.0 differ).  A repeat is
+    taken after ``step`` returns, so each step makes its own finiteness
+    check and raises its own error, and no skipped step could raise: it
+    would repeat numpy calls on bits already seen.  This assumes ``step``
+    and ``inverse`` are functions of their arguments, as the paper's maps
+    are: a kernel with side effects sees fewer calls, and under an
+    ``"always"`` warnings filter the skipped steps' warnings are not shown.
     """
-    return i + (n - i) % (t - i)
+    xs, inverses, first = [x], [], {x.tobytes(): 0}  # x_i, inverse(x_i), bytes -> i
+    for t in range(1, n + 1):
+        inverses.append(inverse(x))
+        x = step(inverses[-1], t)
+        xs.append(x)
+        i = first.setdefault(x.tobytes(), t)
+        if i < t:
+            j = i + (n - i) % (t - i)
+            return xs[j], inverses[j]
+    return x, None
 
 
 def growth(q: float, N: int) -> float:

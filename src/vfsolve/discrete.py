@@ -22,12 +22,12 @@ rather than full meshes:
 Either result is broadcast to (dim, dim), so a kernel may return a
 lower-rank array or a scalar (e.g. ``lambda t, s, x: 0.0``).  phi and
 fred take the kernel tables from :func:`k1_table` and :func:`k2_table`;
-:func:`_phi_and_table` and :func:`_fred_and_table` return the table with
-the map, for the Newton oracle's Jacobian.  Only the length-dim output of
-phi and fred is checked for non-finite values; when it fails, or when
-numpy's warning about the weighted sum is raised as an error (``python -W
-error``), the kernel's own table is searched for the offending cell to name
-in the error.  :func:`shifted_fred` builds the continuation's inner map
+:func:`_map_and_table`, their one checked body, returns the table with the
+map, for the Newton oracle's Jacobian.  Only the length-dim output of phi
+and fred is checked for non-finite values; when it fails, or when numpy's
+warning about the weighted sum is raised as an error (``python -W error``),
+the kernel's own table is searched for the offending cell to name in the
+error.  :func:`shifted_fred` builds the continuation's inner map
 F1(v) = fred(v) - F(0) once per solve; it returns the raw sum (named cells
 only for a warning raised as an error): the continuation checks each
 iterate, and :func:`fred` names a failing one's cell.  It writes a form's
@@ -307,22 +307,26 @@ def _volterra_sum(sys: DiscreteSystem, vals: np.ndarray) -> np.ndarray:
     return np.multiply(sys.scheme.volterra_weights, cells, out=cells).sum(axis=-1)
 
 
-def _phi_and_table(sys: DiscreteSystem, v: np.ndarray) -> tuple:
-    """:func:`phi` at a checked state ``v``, and the k1 table it summed."""
-    vals = k1_table(sys, v)
+def _map_and_table(sys: DiscreteSystem, which: str, v: np.ndarray) -> tuple:
+    """:func:`phi` ("k1") or :func:`fred` ("k2") at a checked state ``v``,
+    and the table it summed."""
+    vals = _table(sys, which, v)
     try:
-        out = _volterra_sum(sys, vals)
+        if which == "k1":
+            out = _volterra_sum(sys, vals)
+        else:
+            out = vals @ sys.scheme.global_weights
     except RuntimeWarning:  # numpy's warning about a bad table, raised by -W error
-        _check_kernel_values(sys, "k1", v, vals)
+        _check_kernel_values(sys, which, v, vals)
         raise
     if not np.isfinite(out).all():
-        _check_kernel_values(sys, "k1", v, vals)
+        _check_kernel_values(sys, which, v, vals)
     return out, vals
 
 
 def phi(sys: DiscreteSystem, xi) -> np.ndarray:
     """Volterra part: row i integrates k1(t_i, s, xi(s)) over [a, t_i]."""
-    return _phi_and_table(sys, _as_state(sys, xi))[0]
+    return _map_and_table(sys, "k1", _as_state(sys, xi))[0]
 
 
 def shifted_fred(sys: DiscreteSystem, f0: np.ndarray):
@@ -355,7 +359,7 @@ def shifted_fred(sys: DiscreteSystem, f0: np.ndarray):
             vals = _kernel_call(sys, "k2", v)
         try:
             out = np.dot(buf, w) if vals is buf else vals @ w
-        except RuntimeWarning:  # as in phi
+        except RuntimeWarning:  # as in _map_and_table
             _check_kernel_values(sys, "k2", v, vals)
             raise
         if shift is not None:
@@ -365,22 +369,9 @@ def shifted_fred(sys: DiscreteSystem, f0: np.ndarray):
     return fred_minus_f0
 
 
-def _fred_and_table(sys: DiscreteSystem, v: np.ndarray) -> tuple:
-    """:func:`fred` at a checked state ``v``, and the k2 table it summed."""
-    vals = k2_table(sys, v)
-    try:
-        out = vals @ sys.scheme.global_weights
-    except RuntimeWarning:  # as in phi
-        _check_kernel_values(sys, "k2", v, vals)
-        raise
-    if not np.isfinite(out).all():
-        _check_kernel_values(sys, "k2", v)
-    return out, vals
-
-
 def fred(sys: DiscreteSystem, xi) -> np.ndarray:
     """Fredholm part: row i integrates k2(t_i, s, xi(s)) over [a, b]."""
-    return _fred_and_table(sys, _as_state(sys, xi))[0]
+    return _map_and_table(sys, "k2", _as_state(sys, xi))[0]
 
 
 def inner(sys: DiscreteSystem, u, v) -> float:

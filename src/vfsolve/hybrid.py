@@ -15,15 +15,11 @@ after n0 = m*d + h0 steps is at most (C1 + C2)*beta^d (all constants
 below).  The iteration makes (n0+1)^(N+1) - 1 kernel maps, the operation
 count; the budget caps it at (n0+1)^(N+1).
 
-T is a function of the bits of z, so once an iterate repeats an earlier one
-bit for bit, the rest of the iteration would recompute a cycle already
-seen: :func:`solve` stops there and returns the inverse the full loop would
-end on, bit for bit, having made fewer maps (``maps_evaluated``).  Each
-continuation level >= 2 inside Pinv stops at its own first repeat by the same
-rule (:func:`vfsolve.continuation.cycle_index`), and hands back the lower
-inverse it has already computed there.  This assumes the kernels are
-functions of their arguments, as the paper's are.  Pinv's map F1 is built
-once per solve (:func:`vfsolve.discrete.shifted_fred`).
+The outer iteration and each continuation level >= 2 inside Pinv stop at
+their first bitwise repeat, with the bits of the full loop
+(:func:`vfsolve.continuation.repeat_stop` states the rule), having made
+fewer maps (``maps_evaluated``).  Pinv's map F1 is built once per solve
+(:func:`vfsolve.discrete.shifted_fred`).
 
 :func:`derive_params` turns declared constants (M, L, ||g1||, eps) into the
 counts N, m, n_prime and n0; any count can be pinned instead to reproduce a
@@ -285,27 +281,22 @@ def prepare(sys: discrete.DiscreteSystem, eps: float, **overrides) -> SolverPara
 def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
     """Run the full hybrid iteration and package the result.
 
-    Each outer iterate z^(t) is kept by its bytes, with Pinv(z^(t)).  When
-    z^(t) repeats an earlier z^(i) bit for bit, the iterates cycle with
-    period p = t - i from step i on, and the loop stops: it returns
-    Pinv(z^(i + (n0 - i) mod p)), the array the n0-step loop returns.  A
-    repeat is taken after the step's finiteness check and norm update, so
-    the inner bound is unchanged and nothing skipped could have raised.
-    Each Pinv stops its levels >= 2 the same way
-    (:func:`vfsolve.continuation.level_solve`), and takes the lower inverse
-    a stopped level hands back instead of solving it again.  F1 is
-    :func:`vfsolve.discrete.shifted_fred`, built here once.  Kernels with
-    side effects see fewer calls, and under an ``"always"`` warnings filter
-    the skipped steps' warnings are not shown.
+    The outer loop runs in :func:`vfsolve.continuation.repeat_stop`, as
+    each level >= 2 inside Pinv does, and takes the lower inverse a stopped
+    level hands back instead of solving it again.  A step's finiteness check
+    and norm update come before its repeat is taken, so the inner bound is
+    unchanged.  F1 is :func:`vfsolve.discrete.shifted_fred`, built here
+    once.
 
     ``op_count`` is the paper's count (n0+1)^(N+1) - 1 of the iteration's
     Phi/F maps, whose result is returned whether or not a loop stopped
-    early; ``maps_evaluated`` counts the maps made.  The shift setup and
+    early; ``maps_evaluated`` counts the maps made, ``cfg.op_counter``'s
+    tally of the Phi and F1 maps.  The shift setup and
     final diagnostics are excluded from both.
     Raises ValueError when ``params`` were derived for another system: q,
     alpha or g_norm differ from L/N, M^m/sqrt((m-1)!) or ||g1||.
     """
-    if abs(params.q - sys.problem.L / params.N) > 1e-12:
+    if not math.isclose(params.q, sys.problem.L / params.N, rel_tol=1e-12):
         raise ValueError(
             "params do not match the system: "
             f"q={params.q} but L/N={sys.problem.L / params.N}"
@@ -334,21 +325,19 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
             raise
 
     cfg = ContinuationConfig(params.N, params.q, params.n0)
-    n0 = params.n0
-    z = g1.copy()
     z_norm = g1_norm  # the largest target norm; the inner bound scales with it
-    xis, first = [], {z.tobytes(): 0}  # Pinv(z^(i)), bytes of z^(i) -> i
-    for t in range(1, n0 + 1):
-        xis.append(p_inverse(z))
-        z = -(discrete.phi(sys, xis[-1]) - phi0) + g1
+
+    def step(xi, t):
+        nonlocal z_norm
+        z = -(discrete.phi(sys, xi) - phi0) + g1
+        cfg.op_counter += 1
         if not np.isfinite(z).all():
             raise SolverError(f"non-finite outer iterate at step {t}")
         z_norm = max(z_norm, discrete.norm(sys, z))
-        i = first.setdefault(z.tobytes(), t)
-        if i < t:  # z^(t) repeats z^(i): from step i on, z has period t - i
-            xi = xis[continuation.cycle_index(i, t, n0)]
-            break
-    else:
+        return z
+
+    z, xi = continuation.repeat_stop(step, p_inverse, g1.copy(), params.n0)
+    if xi is None:
         xi = p_inverse(z)
 
     budget = ErrorBudget(
@@ -358,7 +347,7 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
             f"quadrature truncation error not included: O(h^{sys.scheme.order}) "
             f"for the {sys.scheme.rule} rule, vanishing as the grid is refined"
         ),
-        maps_evaluated=cfg.op_counter + t,  # the inverses' maps and one Phi a step
+        maps_evaluated=cfg.op_counter,
         op_bound=op_budget(params),
     )
     per_node = None

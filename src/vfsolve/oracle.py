@@ -89,8 +89,8 @@ def _column_jacobian(
 def _map_and_tables(sys: discrete.DiscreteSystem, xi: np.ndarray) -> tuple:
     """:func:`_system_map` at ``xi``, with the k1 and k2 tables it summed."""
     v = discrete._as_state(sys, xi)
-    phi, k1 = discrete._phi_and_table(sys, v)
-    fred, k2 = discrete._fred_and_table(sys, v)
+    phi, k1 = discrete._map_and_table(sys, "k1", v)
+    fred, k2 = discrete._map_and_table(sys, "k2", v)
     return xi + phi + fred, k1, k2
 
 

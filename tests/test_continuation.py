@@ -9,6 +9,7 @@ from vfsolve.continuation import (
     inner_bound,
     level_solve,
     p_inverse,
+    repeat_stop,
 )
 from vfsolve.discrete import build_system, fred, norm
 from vfsolve.problem import benchmark_problem
@@ -268,6 +269,60 @@ def test_nonfinite_iterate_carries_the_maps_argument():
         p_inverse(F, np.array([1.0, 2.0]), cfg)
     assert cfg.op_counter == 6
     assert info.value.state.tobytes() == argument[-1].tobytes()
+
+
+def _rho(lead_in, period):
+    """A step whose iterates from [0.0] are 0, 1, …, lead_in + period - 1 and
+    then lead_in again: the first repeat is x_(lead_in + period) = x_lead_in.
+    The inverse is negation, so the step undoes it; both count their calls."""
+    calls = {"step": [], "inverse": 0}
+
+    def inverse(x):
+        calls["inverse"] += 1
+        return -x
+
+    def step(v, t):
+        calls["step"].append(t)
+        k = -v[0] + 1.0
+        return np.array([k if k < lead_in + period else float(lead_in)])
+
+    return step, inverse, calls
+
+
+@pytest.mark.parametrize("lead_in, period", [(0, 1), (3, 1), (0, 4), (2, 3), (5, 2)])
+def test_repeat_stop_returns_the_plain_loops_pair(lead_in, period):
+    for n in range(1, 3 * (lead_in + period) + 1):
+        step, inverse, _ = _rho(lead_in, period)
+        x = np.array([0.0])
+        for t in range(1, n + 1):
+            x = step(inverse(x), t)
+        want = (x, inverse(x))
+        step, inverse, calls = _rho(lead_in, period)
+        got = repeat_stop(step, inverse, np.array([0.0]), n)
+        steps = min(n, lead_in + period)
+        assert calls["step"] == list(range(1, steps + 1))
+        assert calls["inverse"] == steps
+        assert got[0].tobytes() == want[0].tobytes()
+        if n < lead_in + period:  # nothing repeats within n steps
+            assert got[1] is None
+        else:
+            assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_repeat_stop_passes_a_steps_error_on():
+    error = SolverError("step 3 failed")
+    for n in (3, 4, 9):
+        step, inverse, calls = _rho(5, 2)
+
+        def failing(v, t):
+            if t == 3:
+                raise error
+            return step(v, t)
+
+        with pytest.raises(SolverError) as info:
+            repeat_stop(failing, inverse, np.array([0.0]), n)
+        assert info.value is error
+        assert calls["step"] == [1, 2] and calls["inverse"] == 3
 
 
 def test_op_counter_exact_for_p_inverse(bench):

@@ -147,15 +147,20 @@ def test_nonfinite_lambda_kernel_names_cell():
     ],
 )
 def test_nonfinite_lambda_kernel_names_first_cell(rule, which, want):
+    calls = []
+
     def bad(t, s, x):
+        calls.append(t)
         return np.where((t == 0.0) | (s > 0.5), np.nan, t)
 
     p = benchmark_problem()
     prob = type(p)(a=0.0, b=1.0, k1=bad, k2=bad, g=p.g, M=p.M, L=p.L)
     sys = build_system(prob, build_scheme(make_grid(0.0, 1.0, 10), rule))
+    calls.clear()
     with pytest.raises(ValueError) as info:
         (phi if which == "phi" else fred)(sys, np.zeros(sys.dim))
     assert str(info.value) == want
+    assert len(calls) == 1  # a kernel without a form: its table is searched, not rebuilt
 
 
 @pytest.mark.parametrize(

@@ -493,6 +493,11 @@ def test_solve_rejects_mismatched_params(bench):
     wrong_g = derive_params(M_BENCH, L_BENCH, 4.92, 1e-3)
     with pytest.raises(ValueError, match=r"do not match the system: g_norm="):
         solve(bench, wrong_g)
+    # a small L: q differs by less than 1e-12 in absolute terms, 9x relatively
+    small = build_system(dataclasses.replace(bench.problem, L=9e-13), bench.scheme)
+    wrong_q = dataclasses.replace(prepare(small, 1e-3), L=1e-13)
+    with pytest.raises(ValueError, match=r"do not match the system: q="):
+        solve(small, wrong_q)
 
 
 def _expression_system(k1, k2, g):
