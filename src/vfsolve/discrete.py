@@ -19,11 +19,17 @@ rather than full meshes:
   arguments (s_0, xi_0), so kernels never see points outside
   [a, b]^2 x state-box; those cells are discarded afterwards.
 
+On a block of node rows (the Newton oracle's tables) t, and k1's s and x,
+hold only those rows; a kernel that computes each cell from its own
+arguments gives the rows of its whole table bit for bit.
 Either result is broadcast to (dim, dim), so a kernel may return a
 lower-rank array or a scalar (e.g. ``lambda t, s, x: 0.0``).  phi and
-fred take the kernel tables from :func:`k1_table` and :func:`k2_table`;
-:func:`_map_and_table`, their one checked body, returns the table with the
-map, for the Newton oracle's Jacobian.  Only the length-dim output of phi
+fred take the kernel tables from :func:`k1_table` and :func:`k2_table`
+through one checked body, :func:`_checked_map`.  The table builder
+:func:`_table` also writes a slice of node rows, into a given buffer where
+a form serves, each row with the bits of the whole table's; the Newton
+oracle builds its tables that way, ``_BLOCK_CELLS`` cells at a time, and
+replays phi and fred on failure.  Only the length-dim output of phi
 and fred is checked for non-finite values; when it fails, or when numpy's
 warning about the weighted sum is raised as an error (``python -W error``),
 the kernel's own table is searched for the offending cell to name in the
@@ -86,6 +92,11 @@ __all__ = [
     "norm",
     "residual",
 ]
+
+# kernel-table cells per block, of the audit's stacked pairs (4 pairs at dim
+# 50) and of the Newton oracle's rows: smaller blocks pay more per-call
+# overhead, larger ones more memory and more page faults
+_BLOCK_CELLS = 20_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,21 +228,23 @@ def _kernel_table(vals, shape: tuple) -> np.ndarray:
     return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
 
-def _table_shape(v: np.ndarray) -> tuple:
-    """(dim, dim) for a state, (P, dim, dim) for a (P, dim) stack of them."""
-    dim = v.shape[-1]
-    return v.shape[:-1] + (dim, dim)
+def _table_shape(sys: DiscreteSystem, v: np.ndarray, rows: slice) -> tuple:
+    """(dim, dim) for a state, (P, dim, dim) for a (P, dim) stack of them,
+    with only the node rows ``rows`` on the second-to-last axis."""
+    return v.shape[:-1] + sys.volterra_mask[rows].shape
 
 
-def _kernel_call(sys: DiscreteSystem, which: str, v: np.ndarray) -> np.ndarray:
-    """The table from the kernel itself ("k1" or "k2")."""
+def _kernel_call(
+    sys: DiscreteSystem, which: str, v: np.ndarray, rows: slice = slice(None)
+) -> np.ndarray:
+    """The table from the kernel itself ("k1" or "k2"), on the node rows ``rows``."""
     nodes = sys.scheme.nodes
     if which == "k1":
-        x_table = np.where(sys.volterra_mask, v[..., None, :], v[..., :1, None])
-        vals = sys.problem.k1(nodes[:, None], sys.s_mesh_volterra, x_table)
+        x_table = np.where(sys.volterra_mask[rows], v[..., None, :], v[..., :1, None])
+        vals = sys.problem.k1(nodes[rows, None], sys.s_mesh_volterra[rows], x_table)
     else:
-        vals = sys.problem.k2(nodes[:, None], nodes[None, :], v[..., None, :])
-    return _kernel_table(vals, _table_shape(v))
+        vals = sys.problem.k2(nodes[rows, None], nodes[None, :], v[..., None, :])
+    return _kernel_table(vals, _table_shape(sys, v, rows))
 
 
 def _write_split(split, s, x, out=None) -> np.ndarray:
@@ -255,17 +268,24 @@ def _write_split(split, s, x, out=None) -> np.ndarray:
     return vals
 
 
-def _table(sys: DiscreteSystem, which: str, v: np.ndarray) -> np.ndarray:
-    """The table of ``which`` ("k1" or "k2"): the form's where it serves, else the kernel's."""
+def _table(
+    sys: DiscreteSystem, which: str, v: np.ndarray, rows: slice = slice(None), out=None
+) -> np.ndarray:
+    """The table of ``which`` ("k1" or "k2") on the node rows ``rows``: the
+    form's where it serves, written into ``out`` when given, else the kernel's.
+
+    Each row holds the bits of the same row of the whole table.
+    """
     split = getattr(sys, f"{which}_split")
     if split is not None:
         try:
-            vals = _write_split(split, sys.scheme.nodes[None, :], v[..., None, :])
+            rows_split = [(c_table[rows], e) for c_table, e in split]
+            vals = _write_split(rows_split, sys.scheme.nodes[None, :], v[..., None, :], out)
             # terms free of x leave one (dim, dim) table for a stack
-            return _kernel_table(vals, _table_shape(v))
+            return _kernel_table(vals, _table_shape(sys, v, rows))
         except Exception:  # the kernel raises it, with its own text
             pass
-    return _kernel_call(sys, which, v)
+    return _kernel_call(sys, which, v, rows)
 
 
 def _check_kernel_values(sys: DiscreteSystem, which: str, v: np.ndarray, vals=None) -> None:
@@ -301,15 +321,27 @@ def k2_table(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     return _table(sys, "k2", v)
 
 
-def _volterra_sum(sys: DiscreteSystem, vals: np.ndarray) -> np.ndarray:
-    """phi's weighted row sums of a k1 table, or of a stack of them, unchecked."""
-    cells = np.where(sys.volterra_mask, vals, 0.0)
-    return np.multiply(sys.scheme.volterra_weights, cells, out=cells).sum(axis=-1)
+def _volterra_sum(
+    sys: DiscreteSystem, vals: np.ndarray, rows: slice = slice(None), cells=None, out=None
+) -> np.ndarray:
+    """phi's weighted row sums of a k1 table, or of a stack of them, unchecked.
+
+    ``vals`` may hold only the node rows ``rows``; ``cells``, a buffer of its
+    shape, then takes the weighted cells instead of a fresh table, and
+    ``out`` the sums.
+    """
+    mask = sys.volterra_mask[rows]
+    if cells is None:
+        cells = np.where(mask, vals, 0.0)
+    else:
+        np.copyto(cells, 0.0)
+        np.copyto(cells, vals, where=mask)
+    np.multiply(sys.scheme.volterra_weights[rows], cells, out=cells)
+    return cells.sum(axis=-1, out=out)
 
 
-def _map_and_table(sys: DiscreteSystem, which: str, v: np.ndarray) -> tuple:
-    """:func:`phi` ("k1") or :func:`fred` ("k2") at a checked state ``v``,
-    and the table it summed."""
+def _checked_map(sys: DiscreteSystem, which: str, v: np.ndarray) -> np.ndarray:
+    """:func:`phi` ("k1") or :func:`fred` ("k2") at a checked state ``v``."""
     vals = _table(sys, which, v)
     try:
         if which == "k1":
@@ -321,12 +353,12 @@ def _map_and_table(sys: DiscreteSystem, which: str, v: np.ndarray) -> tuple:
         raise
     if not np.isfinite(out).all():
         _check_kernel_values(sys, which, v, vals)
-    return out, vals
+    return out
 
 
 def phi(sys: DiscreteSystem, xi) -> np.ndarray:
     """Volterra part: row i integrates k1(t_i, s, xi(s)) over [a, t_i]."""
-    return _map_and_table(sys, "k1", _as_state(sys, xi))[0]
+    return _checked_map(sys, "k1", _as_state(sys, xi))
 
 
 def shifted_fred(sys: DiscreteSystem, f0: np.ndarray):
@@ -359,7 +391,7 @@ def shifted_fred(sys: DiscreteSystem, f0: np.ndarray):
             vals = _kernel_call(sys, "k2", v)
         try:
             out = np.dot(buf, w) if vals is buf else vals @ w
-        except RuntimeWarning:  # as in _map_and_table
+        except RuntimeWarning:  # as in _checked_map
             _check_kernel_values(sys, "k2", v, vals)
             raise
         if shift is not None:
@@ -371,7 +403,7 @@ def shifted_fred(sys: DiscreteSystem, f0: np.ndarray):
 
 def fred(sys: DiscreteSystem, xi) -> np.ndarray:
     """Fredholm part: row i integrates k2(t_i, s, xi(s)) over [a, b]."""
-    return _map_and_table(sys, "k2", _as_state(sys, xi))[0]
+    return _checked_map(sys, "k2", _as_state(sys, xi))
 
 
 def inner(sys: DiscreteSystem, u, v) -> float:

@@ -10,14 +10,19 @@ from the kernel tables at xi and at bumped = xi + step:
 where dk is a kernel table at bumped minus the table at xi, V and w are the
 Volterra and global weights, and mask drops the clamped (s_j > t_i) cells.
 
-An iteration maps xi with the checked bodies of :func:`vfsolve.discrete.phi`
-and :func:`vfsolve.discrete.fred`, which also return the kernel tables they
-summed, so its errors are theirs; the Jacobian reuses those tables and
-builds only the two at bumped.  Where that raises (a kernel, a factor, a
-numpy warning under ``python -W error``) or J comes out non-finite, J is
-built column by column from system maps, so failures raise exactly the
-errors the system maps raise.  Under the default warning filter a numpy
-warning may print from this module before such an error.
+A solve allocates its tables once (:class:`_Workspace`): J, the k2 table at
+the iterate, and one block of whole rows of ``discrete._BLOCK_CELLS``
+cells.  An iteration writes phi's k1 table into J's buffer a row block at a
+time, summing each block's rows, and sums F from the whole k2 table.  J is
+then formed over the k1 table a row block at a time, from the rows of the
+tables at bumped, each row with the bits of the whole-table arithmetic.
+Where a map block raises or the map comes out non-finite,
+:func:`vfsolve.discrete.phi` and :func:`vfsolve.discrete.fred` map the
+whole state again, so the errors are theirs.  Where forming J raises (a
+kernel, a factor, a numpy warning under ``python -W error``) or J comes out
+non-finite, J is built column by column from system maps, so failures
+raise exactly the errors the system maps raise.  Under the default warning
+filter a numpy warning may print from this module before such an error.
 
 Deliberately shares no iteration machinery with the continuation solver so
 the two can check each other; the common code is the kernels, their
@@ -55,8 +60,12 @@ class NewtonConfig:
             raise ValueError(f"need max_iter >= 1, got {self.max_iter}")
         if not self.residual_tol > 0:
             raise ValueError(f"need residual_tol > 0, got {self.residual_tol}")
+        if self.residual_tol == np.inf:
+            raise ValueError("need finite residual_tol > 0, got inf")
         if not self.fd_step > 0:
             raise ValueError(f"need fd_step > 0, got {self.fd_step}")
+        if self.fd_step == np.inf:
+            raise ValueError("need finite fd_step > 0, got inf")
 
 
 def _check_dim(dim: int) -> None:
@@ -75,8 +84,8 @@ def _column_jacobian(
     """Forward differences one column at a time: dim system maps.
 
     ``base`` is ``_system_map(sys, at)``.  The reference for
-    :func:`jacobian_check`, and the fallback that gives :func:`_jacobian`
-    the system maps' exact errors.
+    :func:`jacobian_check`, and the fallback that gives
+    :meth:`_Workspace.jacobian` the system maps' exact errors.
     """
     jac = np.empty((sys.dim, sys.dim))
     for j in range(sys.dim):
@@ -86,47 +95,92 @@ def _column_jacobian(
     return jac
 
 
-def _map_and_tables(sys: discrete.DiscreteSystem, xi: np.ndarray) -> tuple:
-    """:func:`_system_map` at ``xi``, with the k1 and k2 tables it summed."""
-    v = discrete._as_state(sys, xi)
-    phi, k1 = discrete._map_and_table(sys, "k1", v)
-    fred, k2 = discrete._map_and_table(sys, "k2", v)
-    return xi + phi + fred, k1, k2
+class _Workspace:
+    """The tables one solve writes at every iterate, allocated once.
 
-
-def _jacobian(
-    sys: discrete.DiscreteSystem, at: np.ndarray, step: float, base: np.ndarray,
-    tables: list,
-) -> np.ndarray:
-    """Forward-difference Jacobian at ``at`` from the map ``base`` and the
-    list ``[k1, k2]`` of the tables :func:`_map_and_tables` summed at ``at``.
-
-    Each table is taken out of the list as it is used, so it is freed before
-    the next one is built.  With fewer tables live the heap does not shrink
-    and fault its pages back in at every map: about a tenth of the
-    25-to-400-cell refinement study on a 2-CPU x86 host.
+    ``jac`` holds the k1 table at the iterate from :meth:`map` until
+    :meth:`jacobian` turns it into the Jacobian, ``k2`` holds the k2 table
+    at the iterate, and ``block`` one row block of ``discrete._BLOCK_CELLS``
+    cells (whole rows, at least one).
     """
-    try:
-        with np.errstate(invalid="ignore", over="ignore"):
-            bumped = at + step
-            # a bump that rounds away leaves its column exactly zero, as in the
-            # column loop
-            diag = (bumped - at) / step
-            jac = np.subtract(discrete.k1_table(sys, bumped), tables.pop(0))
-            np.copyto(jac, 0.0, where=~sys.volterra_mask)  # clamped cells may be non-finite
-            jac *= sys.scheme.volterra_weights
-            dk2 = np.subtract(discrete.k2_table(sys, bumped), tables.pop(0))
-            dk2 *= sys.scheme.global_weights
-            jac += dk2
-            jac /= step
-            jac.flat[:: sys.dim + 1] += diag
-    except Exception:  # a kernel may raise anything
-        jac = None
-    if jac is not None and np.isfinite(jac).all():
-        return jac
-    # the column loop raises the system maps' own errors and warnings, or
-    # returns the Jacobian they give
-    return _column_jacobian(sys, at, step, base)
+
+    def __init__(self, sys: discrete.DiscreteSystem):
+        dim = sys.dim
+        rows = min(dim, max(1, discrete._BLOCK_CELLS // dim))
+        self.sys = sys
+        self.blocks = [slice(lo, min(lo + rows, dim)) for lo in range(0, dim, rows)]
+        self.jac = np.empty((dim, dim))
+        self.k2 = np.empty((dim, dim))
+        self.block = np.empty((rows, dim))
+        self.k2_at = None  # the k2 table summed by the last map that passed
+
+    def map(self, xi: np.ndarray) -> np.ndarray:
+        """:func:`_system_map` at ``xi``, bit for bit: phi a row block at a
+        time, F from the whole k2 table.
+
+        Where a block raises or the map is non-finite, phi and then fred map
+        the whole state again, so the error, and its text, is theirs.
+        """
+        sys = self.sys
+        v = discrete._as_state(sys, xi)
+        self.k2_at = None
+        phi = np.empty(sys.dim)
+        try:
+            for rows in self.blocks:
+                k1 = self.jac[rows]
+                vals = discrete._table(sys, "k1", v, rows, k1)
+                if vals is not k1:  # the kernel's own table
+                    np.copyto(k1, vals)
+                cells = self.block[: rows.stop - rows.start]
+                discrete._volterra_sum(sys, k1, rows, cells, phi[rows])
+            k2 = discrete._table(sys, "k2", v, out=self.k2)
+            mapped = xi + phi + k2 @ sys.scheme.global_weights
+            finite = np.isfinite(mapped).all()
+        except Exception:  # a block's text would name the block, not the table
+            finite = False
+        if not finite:
+            return _system_map(sys, xi)
+        self.k2_at = k2
+        return mapped
+
+    def jacobian(self, at: np.ndarray, step: float, base: np.ndarray) -> np.ndarray:
+        """Forward-difference Jacobian at ``at``, which :meth:`map` last
+        mapped to ``base``, written over the k1 table a row block at a time.
+
+        Each block is the whole-table arithmetic on its rows.  After a map
+        that replayed, the column loop builds it.
+        """
+        sys, jac, k2_at = self.sys, self.jac, self.k2_at
+        if k2_at is None:  # the map replayed: no tables at ``at``
+            return _column_jacobian(sys, at, step, base)
+        self.k2_at = None  # the k1 table is overwritten below
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                bumped = at + step
+                # a bump that rounds away leaves its column exactly zero, as in
+                # the column loop
+                diag = (bumped - at) / step
+                for rows in self.blocks:
+                    part = jac[rows]
+                    bumped_rows = self.block[: rows.stop - rows.start]
+                    k1 = discrete._table(sys, "k1", bumped, rows, bumped_rows)
+                    np.subtract(k1, part, out=part)
+                    # clamped cells may be non-finite
+                    np.copyto(part, 0.0, where=~sys.volterra_mask[rows])
+                    part *= sys.scheme.volterra_weights[rows]
+                    k2 = discrete._table(sys, "k2", bumped, rows, bumped_rows)
+                    dk2 = np.subtract(k2, k2_at[rows], out=bumped_rows)
+                    dk2 *= sys.scheme.global_weights
+                    part += dk2
+                    part /= step
+                jac.flat[:: sys.dim + 1] += diag
+        except Exception:  # a kernel may raise anything
+            jac = None
+        if jac is not None and np.isfinite(jac).all():
+            return jac
+        # the column loop raises the system maps' own errors and warnings, or
+        # returns the Jacobian they give
+        return _column_jacobian(sys, at, step, base)
 
 
 def newton_solve(
@@ -141,18 +195,17 @@ def newton_solve(
     """
     cfg = cfg or NewtonConfig()
     _check_dim(sys.dim)
+    work = _Workspace(sys)
     xi = sys.g_vec.copy() if start is None else np.asarray(start, dtype=float).copy()
     for it in range(cfg.max_iter + 1):
-        mapped, *tables = _map_and_tables(sys, xi)
+        mapped = work.map(xi)
         defect = mapped - sys.g_vec
         res = discrete.norm(sys, defect)
         if res <= cfg.residual_tol:
             return xi
         if it == cfg.max_iter:
             break
-        # jac stays live until the next one replaces it: as with the tables
-        # (_jacobian), the heap then keeps its pages from one map to the next
-        jac = _jacobian(sys, xi, cfg.fd_step, mapped, tables)
+        jac = work.jacobian(xi, cfg.fd_step, mapped)
         try:
             delta = np.linalg.solve(jac, defect)
         except np.linalg.LinAlgError as exc:
@@ -174,9 +227,10 @@ def jacobian_check(
 ) -> float:
     """Cross-check of the Jacobian that :func:`newton_solve` uses.
 
-    Builds it entrywise from kernel tables and column by column from system
-    maps, both at ``cfg.fd_step``, and returns the max absolute entrywise
-    discrepancy.  Restricted to small systems (dim <= 60).
+    Builds it as :func:`newton_solve` does, entrywise from kernel tables a
+    row block at a time, and column by column from system maps, both at
+    ``cfg.fd_step``, and returns the max absolute entrywise discrepancy.
+    Restricted to small systems (dim <= 60).
     """
     cfg = cfg or NewtonConfig()
     if sys.dim > _CHECK_DIM_CAP:
@@ -184,7 +238,8 @@ def jacobian_check(
             f"jacobian_check is limited to dim <= {_CHECK_DIM_CAP}, got {sys.dim}"
         )
     at = np.asarray(at, dtype=float)
-    base, *tables = _map_and_tables(sys, at)
-    entrywise = _jacobian(sys, at, cfg.fd_step, base, tables)
+    work = _Workspace(sys)
+    base = work.map(at)
+    entrywise = work.jacobian(at, cfg.fd_step, base)
     columns = _column_jacobian(sys, at, cfg.fd_step, base)
     return float(np.max(np.abs(entrywise - columns)))

@@ -238,11 +238,6 @@ def default_x_box(problem: Problem, scheme) -> float:
     return _box_of(np.asarray(problem.g(scheme.nodes), dtype=float))
 
 
-# kernel-table cells per audit block, 4 pairs at dim 50: smaller blocks pay
-# more per-call overhead, larger ones more memory and more page faults
-_AUDIT_BLOCK_CELLS = 20_000
-
-
 def _pair_ratios(system, u: np.ndarray, v: np.ndarray) -> tuple | None:
     """One pair's three ratios through the checked maps; None if ||u - v|| = 0.
 
@@ -323,7 +318,7 @@ def check_assumptions(
         raise ValueError(f"x_box must be positive and finite, got {box}")
 
     rng = np.random.default_rng(seed)
-    block = max(1, _AUDIT_BLOCK_CELLS // (2 * system.dim**2))
+    block = max(1, discrete._BLOCK_CELLS // (2 * system.dim**2))
     f_ratio = 0.0
     mono = np.inf
     phi_ratio = 0.0

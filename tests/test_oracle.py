@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from vfsolve import oracle
+from vfsolve import discrete, oracle
 from vfsolve.discrete import build_system, k1_table, k2_table, norm, residual
 from vfsolve.expr import EvalDomainError
 from vfsolve.oracle import NewtonConfig, NewtonError, jacobian_check, newton_solve
@@ -150,6 +151,12 @@ def test_config_validation():
         NewtonConfig(fd_step=0.0)
     with pytest.raises(ValueError, match="residual_tol"):
         NewtonConfig(residual_tol=-1.0)
+    # an infinite tolerance would accept any start; an infinite step would
+    # fail later, on the bumped state the column Jacobian maps
+    with pytest.raises(ValueError, match=r"^need finite residual_tol > 0, got inf$"):
+        NewtonConfig(residual_tol=np.inf)
+    with pytest.raises(ValueError, match=r"^need finite fd_step > 0, got inf$"):
+        NewtonConfig(fd_step=np.inf)
     with pytest.raises(ValueError, match="max_iter"):
         NewtonConfig(max_iter=0)
 
@@ -205,9 +212,21 @@ REFINEMENT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("cells", sorted(REFINEMENT_DIGESTS))
-def test_newton_bytes_on_the_refinement_grids(cells):
-    assert _sha(newton_solve(_benchmark_system(cells))) == REFINEMENT_DIGESTS[cells]
+def _block_rows(monkeypatch, sys_, rows):
+    """Make the oracle's row blocks ``rows`` rows high: a count, or "whole"."""
+    rows = sys_.dim if rows == "whole" else rows
+    monkeypatch.setattr(discrete, "_BLOCK_CELLS", rows * sys_.dim)
+
+
+@pytest.mark.parametrize("cells, rows", [
+    *(pytest.param(cells, None, id=str(cells)) for cells in sorted(REFINEMENT_DIGESTS)),
+    *(pytest.param(200, rows, id=f"200-rows{rows}") for rows in (1, 7, "whole")),
+])
+def test_newton_bytes_on_the_refinement_grids(monkeypatch, cells, rows):
+    sys_ = _benchmark_system(cells)
+    if rows is not None:
+        _block_rows(monkeypatch, sys_, rows)
+    assert _sha(newton_solve(sys_)) == REFINEMENT_DIGESTS[cells]
 
 
 def _expression_benchmark():
@@ -260,7 +279,8 @@ def test_newton_bytes_on_every_scheme(form, rule, rows):
 
 def _whole_table_jacobian(sys_, at, step):
     """The entrywise Jacobian built from whole kernel tables, each table
-    made anew: the reference for the tables a Newton map keeps."""
+    made anew: the reference for the oracle's row blocks and the tables
+    its map keeps."""
     with np.errstate(invalid="ignore", over="ignore"):
         bumped = at + step
         diag = (bumped - at) / step
@@ -297,12 +317,19 @@ JACOBIAN_PROBLEMS = {
 }
 
 
-@pytest.mark.parametrize("rule, cells", [("midpoint", 10), ("trapezoid", 40), ("simpson", 100)])
+@pytest.mark.parametrize("rule, cells, rows", [
+    pytest.param(
+        rule, cells, rows, id=f"{rule}-{cells}" + ("" if rows == "whole" else f"-rows{rows}")
+    )
+    for rule, cells in [("midpoint", 10), ("trapezoid", 40), ("simpson", 100)]
+    for rows in ("whole", 1, 7)
+])
 @pytest.mark.parametrize("name", sorted(JACOBIAN_PROBLEMS))
-def test_newton_jacobians_match_whole_tables_bytewise(monkeypatch, rule, cells, name):
+def test_newton_jacobians_match_whole_tables_bytewise(monkeypatch, rule, cells, rows, name):
     if name == "row0_inf" and rule == "midpoint":
         rule, cells = "trapezoid", 9
     sys_ = _benchmark_system(cells, rule, prob=JACOBIAN_PROBLEMS[name]())
+    _block_rows(monkeypatch, sys_, rows)
     if name == "two_terms":
         assert len(sys_.k1_split) == len(sys_.k2_split) == 2
     factored = []
@@ -440,6 +467,87 @@ def test_newton_failures_keep_their_errors(case, action):
         with pytest.raises(Exception) as info:
             run()
     assert (type(info.value), str(info.value)) == expected[action]
+
+
+def _k1_inf_in_late_rows():
+    bp = benchmark_problem()
+    k1 = lambda t, s, x: np.where(t > 0.5, np.inf, bp.k1(t, s, x))
+    return dataclasses.replace(bp, k1=k1, k1_terms=None)
+
+
+# each kernel fails in the rows t > 0.5 only, 5 to 9 of 10 midpoint cells: in
+# a block after the first, and in several blocks, of 1 or 3 rows
+MAP_BLOCK_FAILURES = {
+    "k1_raises": lambda: _system("s*ln(0.5 - t)", "0"),
+    "k1_nonfinite": lambda: _benchmark_system(10, prob=_k1_inf_in_late_rows()),
+    "k1_row_sum_invalid": lambda: _benchmark_system(
+        10, prob=_mixed_infinities_in_late_rows("k1")
+    ),
+    "k2_raises": lambda: _system("0", "s*ln(0.5 - t)"),
+}
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("case", sorted(MAP_BLOCK_FAILURES))
+def test_map_block_failures_raise_the_whole_state_errors(monkeypatch, case, rows, action):
+    # a block's own error would count or name the cells of the block only
+    sys_ = MAP_BLOCK_FAILURES[case]()
+    _block_rows(monkeypatch, sys_, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(Exception) as whole:
+            discrete.phi(sys_, sys_.g_vec)
+            discrete.fred(sys_, sys_.g_vec)
+        with pytest.raises(Exception) as info:
+            newton_solve(sys_)
+    assert (type(info.value), str(info.value)) == (type(whole.value), str(whole.value))
+
+
+def test_map_that_replays_gets_the_column_jacobian(monkeypatch):
+    # a k1 that refuses any block short of the whole table: every map replays
+    # on the whole state and passes, which leaves no tables for the Jacobian
+    bp = benchmark_problem()
+
+    def k1(t, s, x):
+        if np.size(t) < 10:
+            raise ArithmeticError("k1 refuses a block of rows")
+        return bp.k1(t, s, x)
+
+    sys_ = _benchmark_system(10, prob=dataclasses.replace(bp, k1=k1, k1_terms=None))
+    _block_rows(monkeypatch, sys_, 3)
+    factored = []
+    solve = np.linalg.solve
+
+    def spy(jac, rhs):
+        delta = solve(jac, rhs)
+        factored.append((jac.copy(), delta))
+        return delta
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    xi = newton_solve(sys_)
+    monkeypatch.undo()
+    assert residual(sys_, xi) <= 1e-12 and factored
+    at, step = sys_.g_vec, NewtonConfig().fd_step
+    for jac, delta in factored:
+        expected = oracle._column_jacobian(sys_, at, step, oracle._system_map(sys_, at))
+        assert jac.tobytes() == expected.tobytes()
+        at = at - delta
+    assert np.array_equal(at, xi)
+
+
+def test_newton_memory_stays_below_three_tables():
+    # J, the k2 table and one row block; numpy.linalg.solve's copy of J is
+    # LAPACK's, which tracemalloc does not see
+    sys_ = _benchmark_system(400)
+    assert sys_.k1_split and sys_.k2_split  # the system's own tables, built once
+    tracemalloc.start()
+    try:
+        newton_solve(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sys_.dim**2 * 8
 
 
 def _k2_factor_fails_below_two():
