@@ -393,10 +393,11 @@ def _mixed_infinities_in_late_rows(which):
     return dataclasses.replace(bp, **{which: k, f"{which}_terms": None})
 
 
-def _k2_inf_in_late_rows():
+def _inf_in_late_rows(which):
     bp = benchmark_problem()
-    k2 = lambda t, s, x: np.where((t > 0.5) & (s < 0.1), np.inf, bp.k2(t, s, x))
-    return dataclasses.replace(bp, k2=k2, k2_terms=None)
+    kernel = getattr(bp, which)
+    k = lambda t, s, x: np.where((t > 0.5) & (s < 0.1), np.inf, kernel(t, s, x))
+    return dataclasses.replace(bp, **{which: k, f"{which}_terms": None})
 
 
 NEWTON_FAILURES = {
@@ -435,7 +436,7 @@ NEWTON_FAILURES = {
     ),
     # a non-finite fred row: fred names the cell
     "k2_nonfinite_fred_row": (
-        lambda: newton_solve(_benchmark_system(10, prob=_k2_inf_in_late_rows())),
+        lambda: newton_solve(_benchmark_system(10, prob=_inf_in_late_rows("k2"))),
         {f: (ValueError, "fredholm kernel k2 evaluated non-finite at mesh cell (i=5, j=0)")
          for f in ("default", "error")},
     ),
@@ -469,17 +470,11 @@ def test_newton_failures_keep_their_errors(case, action):
     assert (type(info.value), str(info.value)) == expected[action]
 
 
-def _k1_inf_in_late_rows():
-    bp = benchmark_problem()
-    k1 = lambda t, s, x: np.where(t > 0.5, np.inf, bp.k1(t, s, x))
-    return dataclasses.replace(bp, k1=k1, k1_terms=None)
-
-
 # each kernel fails in the rows t > 0.5 only, 5 to 9 of 10 midpoint cells: in
 # a block after the first, and in several blocks, of 1 or 3 rows
 MAP_BLOCK_FAILURES = {
     "k1_raises": lambda: _system("s*ln(0.5 - t)", "0"),
-    "k1_nonfinite": lambda: _benchmark_system(10, prob=_k1_inf_in_late_rows()),
+    "k1_nonfinite": lambda: _benchmark_system(10, prob=_inf_in_late_rows("k1")),
     "k1_row_sum_invalid": lambda: _benchmark_system(
         10, prob=_mixed_infinities_in_late_rows("k1")
     ),
