@@ -16,13 +16,7 @@ count; ``vf.cli.main`` is the console entry point (``vfsolve solve|bound|
 table|convergence``).
 """
 
-from .continuation import (
-    ContinuationConfig,
-    SolverError,
-    inner_bound,
-    level_solve,
-    p_inverse,
-)
+from .continuation import ContinuationConfig, SolverError, level_solve, p_inverse
 from .discrete import DiscreteSystem, build_system, fred, inner, norm, phi, residual
 from .expr import EvalDomainError, ExprError, evaluate, parse_expression, to_string
 from .hybrid import (
@@ -31,6 +25,7 @@ from .hybrid import (
     SolverParams,
     derive_params,
     fixed_point_error,
+    inner_bound,
     iteration_bound,
     iteration_bound_fine,
     op_budget,
@@ -78,7 +73,6 @@ __all__ = [
     "SolverError",
     "level_solve",
     "p_inverse",
-    "inner_bound",
     # hybrid solver and bounds
     "SolverParams",
     "ErrorBudget",
@@ -88,6 +82,7 @@ __all__ = [
     "solve",
     "iteration_bound",
     "iteration_bound_fine",
+    "inner_bound",
     "fixed_point_error",
     "op_budget",
     # Newton oracle

@@ -30,7 +30,7 @@ import sys as _sys
 import numpy as np
 
 from . import hybrid, reference
-from .continuation import ContinuationConfig, SolverError, inner_bound
+from .continuation import SolverError
 from .discrete import DiscreteSystem, build_system, residual
 from .expr import ExprError
 from .oracle import NewtonError, _check_dim, newton_solve
@@ -94,14 +94,11 @@ _SECTIONS = {
 
 _EXPRESSION_FIELDS = ("a", "b", "k1", "k2", "g", "M", "L")
 
-_BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
-             "false": False, "no": False, "0": False, "off": False}
-
 
 def _convert(section: str, key: str, raw: str, kind):
     try:
         if kind is bool:
-            return _BOOLEANS[raw.strip().lower()]
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         return kind(raw)
     except (ValueError, KeyError):
         raise ConfigError(
@@ -286,10 +283,9 @@ def _print_params(params) -> None:
         "C_m", "C_nprime", "C1", "C2", "g_norm", "eps",
     ):
         print(f"{key}={_fmt(getattr(params, key))}")
-    cfg = ContinuationConfig(N=params.N, q=params.q, n0=params.n0)
     print(f"iteration_bound={_fmt(hybrid.iteration_bound(params))}")
     print(f"iteration_bound_fine={_fmt(hybrid.iteration_bound_fine(params))}")
-    print(f"inner_bound={_fmt(inner_bound(cfg, params.g_norm))}")
+    print(f"inner_bound={_fmt(hybrid.inner_bound(params, params.g_norm))}")
     print(f"op_budget={hybrid.op_budget(params)}")
 
 

@@ -35,8 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -45,8 +43,6 @@ __all__ = [
     "level_solve",
     "p_inverse",
     "repeat_stop",
-    "growth",
-    "inner_bound",
 ]
 
 
@@ -61,16 +57,16 @@ class SolverError(RuntimeError):
 
 @dataclass
 class ContinuationConfig:
-    """Continuation parameters and the running operation tally.
+    """The loop counts and the running operation tally.
 
-    ``q`` is the per-level contraction factor L*eps0 with sub-step
-    eps0 = 1/N, and must be < 1 for any of this to converge.
-    ``op_counter`` tallies the maps made: F's here, and the outer Phi maps
-    of :func:`vfsolve.hybrid.solve`, which adds its own.
+    N levels of n0 steps each, with sub-step eps0 = 1/N.  Whether the
+    steps contract (q = L/N < 1) and by how much is checked and bounded by
+    :class:`vfsolve.hybrid.SolverParams`, not here.  ``op_counter`` tallies
+    the maps made: F's here, and the outer Phi maps of
+    :func:`vfsolve.hybrid.solve`, which adds its own.
     """
 
     N: int
-    q: float
     n0: int
     op_counter: int = 0
 
@@ -79,13 +75,6 @@ class ContinuationConfig:
             raise ValueError(f"need N >= 1, got {self.N}")
         if self.n0 < 1:
             raise ValueError(f"need n0 >= 1, got {self.n0}")
-        if not 0.0 <= self.q < 1.0:
-            raise ValueError(f"contraction factor q must lie in [0, 1), got {self.q}")
-
-    @property
-    def eps0(self) -> float:
-        """Sub-step size 1/N."""
-        return 1.0 / self.N
 
 
 def level_solve(F, level: int, target, cfg: ContinuationConfig):
@@ -118,7 +107,7 @@ def _level1(F, target: np.ndarray, cfg: ContinuationConfig) -> np.ndarray:
 
     Each step is one map on a fresh array; the maps are added to the tally
     once, n0 of them, or t + 1 when step t fails its finiteness check."""
-    scale = -cfg.eps0
+    scale = -(1.0 / cfg.N)
     w = target
     for t in range(cfg.n0):
         v = w
@@ -135,7 +124,7 @@ def _level(F, level: int, target: np.ndarray, cfg: ContinuationConfig) -> tuple:
     """:func:`level_solve`'s loop at a level >= 2, by :func:`repeat_stop`.
     Returns (w, v) with v = P_(level-1)^(-1)(w) when a step already computed
     it, that is when the loop stopped at a repeat, and v = None otherwise."""
-    scale = -cfg.eps0
+    scale = -(1.0 / cfg.N)
 
     def step(v, t):
         w = np.multiply(F(v), scale, dtype=float)
@@ -164,7 +153,7 @@ def p_inverse(F, z, cfg: ContinuationConfig):
 
     Solves the top level for y, then maps y down through the remaining
     N-1 inversions, skipping those a level's stop has already made.  The
-    defect ||xi + F(xi) - z|| obeys :func:`inner_bound`.
+    defect ||xi + F(xi) - z|| obeys :func:`vfsolve.hybrid.inner_bound`.
     """
     return _inverse(F, cfg.N, np.asarray(z, dtype=float), cfg)
 
@@ -199,18 +188,3 @@ def repeat_stop(step, inverse, x: np.ndarray, n: int) -> tuple:
             return xs[j], inverses[j]
     return x, None
 
-
-def growth(q: float, N: int) -> float:
-    """Level-accumulation factor (e^(qN) - 1)/(e^q - 1), continued to N at q = 0."""
-    if q == 0.0:
-        return float(N)
-    return (math.exp(q * N) - 1.0) / (math.exp(q) - 1.0)
-
-
-def inner_bound(cfg: ContinuationConfig, z_norm: float) -> float:
-    """A-priori defect bound (q^(n0+1)/(1-q)) * growth(q, N) * ||z||."""
-    if cfg.q >= 1.0:
-        raise ValueError(f"bound requires q < 1, got {cfg.q}")
-    if cfg.q == 0.0:
-        return 0.0
-    return cfg.q ** (cfg.n0 + 1) / (1.0 - cfg.q) * growth(cfg.q, cfg.N) * float(z_norm)

@@ -47,6 +47,7 @@ __all__ = [
     "solve",
     "iteration_bound",
     "iteration_bound_fine",
+    "inner_bound",
     "op_budget",
     "fixed_point_error",
     "D_CAP",
@@ -61,10 +62,12 @@ class SolverParams:
 
     Stored: the declared M, L, g_norm = ||g1|| and eps, and the counts N, m,
     n_prime and n0.  Derived, read-only: q, alpha, gamma, the split
-    n0 = m*d + h0 (0 <= h0 < m), C_m, C_nprime, C1, C2, and beta, the
-    per-d contraction factor of the error bound (C1 + C2)*beta^d.  Raises
-    ValueError for a bad declared value, a count below 1 (``need n0 >= 1,
-    got 0``), or q, alpha or gamma >= 1, in that order.
+    n0 = m*d + h0 (0 <= h0 < m), C_m, C_nprime, C1, C2, beta, the
+    per-d contraction factor of the error bound (C1 + C2)*beta^d, and
+    growth, the continuation's level growth, a factor of both C1 and
+    :func:`inner_bound`.  Raises ValueError for a bad declared value, a
+    count below 1 (``need n0 >= 1, got 0``), or q, alpha or gamma >= 1, in
+    that order.
     """
 
     M: float
@@ -95,7 +98,7 @@ class SolverParams:
             raise ValueError(f"m={self.m} gives alpha={self.alpha} >= 1; increase m")
         if self.gamma >= 1.0:
             raise ValueError(f"n_prime={self.n_prime} gives gamma={self.gamma} >= 1")
-        iteration_bound(self)  # C_nprime and growth(q, N) may overflow: raise now
+        iteration_bound(self)  # C_nprime and growth may overflow: raise now
 
     @property
     def q(self) -> float:
@@ -128,9 +131,16 @@ class SolverParams:
         )
 
     @property
+    def growth(self) -> float:
+        """Level growth (e^(qN) - 1)/(e^q - 1), continued to N at q = 0."""
+        if self.q == 0.0:
+            return float(self.N)
+        return (math.exp(self.q * self.N) - 1.0) / (math.exp(self.q) - 1.0)
+
+    @property
     def C1(self) -> float:
-        q, growth = self.q, continuation.growth(self.q, self.N)
-        return (1.0 + self.M) * (q / (1.0 - q)) * growth * self.C_nprime * self.g_norm
+        q = self.q
+        return (1.0 + self.M) * (q / (1.0 - q)) * self.growth * self.C_nprime * self.g_norm
 
     @property
     def C2(self) -> float:
@@ -254,6 +264,13 @@ def iteration_bound_fine(params: SolverParams) -> float:
     return first + second
 
 
+def inner_bound(params: SolverParams, z_norm: float) -> float:
+    """A-priori defect bound (q^(n0+1)/(1-q)) * growth * ||z|| of one
+    continuation inverse at a target of norm ``z_norm``."""
+    q = params.q
+    return q ** (params.n0 + 1) / (1.0 - q) * params.growth * float(z_norm)
+
+
 def op_budget(params: SolverParams) -> int:
     """Worst-case kernel-map evaluations of one solve: (n0+1)^(N+1)."""
     return (params.n0 + 1) ** (params.N + 1)
@@ -324,7 +341,7 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
             discrete.fred(sys, err.state)  # names a non-finite table cell, if any
             raise
 
-    cfg = ContinuationConfig(params.N, params.q, params.n0)
+    cfg = ContinuationConfig(params.N, params.n0)
     z_norm = g1_norm  # the largest target norm; the inner bound scales with it
 
     def step(xi, t):
@@ -342,7 +359,7 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
 
     budget = ErrorBudget(
         iteration_bound=iteration_bound(params),
-        inner_bound_value=continuation.inner_bound(cfg, z_norm),
+        inner_bound_value=inner_bound(params, z_norm),
         discretization_note=(
             f"quadrature truncation error not included: O(h^{sys.scheme.order}) "
             f"for the {sys.scheme.rule} rule, vanishing as the grid is refined"

@@ -18,11 +18,11 @@ then formed over the k1 table a row block at a time, from the rows of the
 tables at bumped, each row with the bits of the whole-table arithmetic.
 Where a map block raises or the map comes out non-finite,
 :func:`vfsolve.discrete.phi` and :func:`vfsolve.discrete.fred` map the
-whole state again, so the errors are theirs.  Where forming J raises (a
-kernel, a factor, a numpy warning under ``python -W error``) or J comes out
-non-finite, J is built column by column from system maps, so failures
-raise exactly the errors the system maps raise.  Under the default warning
-filter a numpy warning may print from this module before such an error.
+whole state again, so the errors, and numpy's warnings about the sums, are
+theirs.  Where forming J raises (a kernel, a factor, a numpy warning under
+``python -W error``) or J comes out non-finite, J is built column by column
+from system maps, so failures raise exactly the errors the system maps
+raise.
 
 Deliberately shares no iteration machinery with the continuation solver so
 the two can check each other; the common code is the kernels, their
@@ -119,7 +119,10 @@ class _Workspace:
         time, F from the whole k2 table.
 
         Where a block raises or the map is non-finite, phi and then fred map
-        the whole state again, so the error, and its text, is theirs.
+        the whole state again, so the error, and its text, is theirs.  The
+        sums keep numpy's warnings to themselves: each such warning leaves
+        the map non-finite, and the replay emits it, or raises it under
+        ``python -W error``.
         """
         sys = self.sys
         v = discrete._as_state(sys, xi)
@@ -132,9 +135,11 @@ class _Workspace:
                 if vals is not k1:  # the kernel's own table
                     np.copyto(k1, vals)
                 cells = self.block[: rows.stop - rows.start]
-                discrete._volterra_sum(sys, k1, rows, cells, phi[rows])
+                with np.errstate(invalid="ignore", over="ignore"):  # the replay warns
+                    discrete._volterra_sum(sys, k1, rows, cells, phi[rows])
             k2 = discrete._table(sys, "k2", v, out=self.k2)
-            mapped = xi + phi + k2 @ sys.scheme.global_weights
+            with np.errstate(invalid="ignore", over="ignore"):
+                mapped = xi + phi + k2 @ sys.scheme.global_weights
             finite = np.isfinite(mapped).all()
         except Exception:  # a block's text would name the block, not the table
             finite = False

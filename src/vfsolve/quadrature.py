@@ -7,8 +7,9 @@ A scheme carries two kinds of weights for the same node set:
 * ``volterra_weights`` — a lower-triangular table whose row i integrates over
   [a, t_i] using only nodes s_0 .. s_i (used for the Volterra part).
 
-Rules: ``midpoint`` (nodes at cell centers, order 2), ``trapezoid`` (order 2)
-and ``simpson`` (order 3, needs an even cell count; see below).
+Rules: ``midpoint`` (nodes at cell centers, order 2 with half-cell rows and 1
+with full-cell rows), ``trapezoid`` (order 2) and ``simpson`` (order 3, needs
+an even cell count; see below).
 
 For the midpoint rule the truncated row has two natural conventions, selected
 by ``midpoint_rows``:
@@ -119,7 +120,8 @@ def build_scheme(grid: Grid, rule: str, midpoint_rows: str = "half_cell") -> Qua
             np.fill_diagonal(vw, h / 2.0)
         else:
             vw = np.tril(np.full((n, n), h))
-        return QuadScheme("midpoint", 2, grid, nodes, gw, vw, midpoint_rows)
+        order = 2 if midpoint_rows == "half_cell" else 1
+        return QuadScheme("midpoint", order, grid, nodes, gw, vw, midpoint_rows)
 
     n = grid.n_cells + 1  # closed rules include both endpoints
     nodes = grid.a + np.arange(n) * h

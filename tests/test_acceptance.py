@@ -305,6 +305,26 @@ def test_criterion_5_convergence_order():
     assert all(away[k] / away[k + 1] >= 15.0 for k in range(2)), f"away from node 1: {away}"
 
 
+@pytest.mark.parametrize("rule, rows, exact_order", [
+    ("midpoint", "full_cell", True),
+    ("midpoint", "half_cell", True),
+    ("trapezoid", "half_cell", True),
+    ("simpson", "half_cell", False),  # the builtin converges faster than the label
+])
+def test_scheme_order_matches_the_newton_error_ratios(rule, rows, exact_order):
+    """The order a solve's discretization note names is the order its
+    Newton-oracle errors show per halving of h, or a safe underestimate."""
+    errs, order = [], None
+    for cells in (40, 80, 160):
+        sys_obj = _system(cells, rows, rule)
+        order = sys_obj.scheme.order
+        errs.append(np.max(np.abs(newton_solve(sys_obj) - sys_obj.scheme.nodes)))
+    ratios = [errs[k] / errs[k + 1] for k in range(2)]
+    assert all(r >= 0.9 * 2**order for r in ratios), f"order {order}: ratios {ratios}"
+    if exact_order:
+        assert all(r <= 1.1 * 2**order for r in ratios), f"order {order}: ratios {ratios}"
+
+
 # -------------------------------------------------------------- criterion 6
 
 def test_criterion_6_property_suites(half_sys):

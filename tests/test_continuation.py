@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,18 +7,20 @@ import pytest
 from vfsolve.continuation import (
     ContinuationConfig,
     SolverError,
-    inner_bound,
     level_solve,
     p_inverse,
     repeat_stop,
 )
 from vfsolve.discrete import build_system, fred, norm
+from vfsolve.hybrid import derive_params, inner_bound
 from vfsolve.problem import benchmark_problem
 from vfsolve.quadrature import build_scheme, make_grid
 
 
-def _cfg(L, N, n0):
-    return ContinuationConfig(N=N, q=L / N, n0=n0)
+def _params(L, N, n0):
+    """SolverParams whose inner bound is the one of N levels of n0 steps on
+    an L-Lipschitz map; M, g_norm and eps do not enter it."""
+    return derive_params(1.0, L, 1.0, 1e-3, N=N, n0=n0)
 
 
 @pytest.fixture(scope="module")
@@ -35,18 +38,17 @@ def bench():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="q must lie"):
-        ContinuationConfig(N=1, q=1.0, n0=5)
     with pytest.raises(ValueError, match="N >= 1"):
-        ContinuationConfig(N=0, q=0.5, n0=5)
+        ContinuationConfig(N=0, n0=5)
     with pytest.raises(ValueError, match="n0 >= 1"):
-        ContinuationConfig(N=1, q=0.5, n0=0)
-    assert _cfg(1.1, 2, 55).q == pytest.approx(0.55)
-    assert _cfg(1.1, 2, 55).eps0 == 0.5
+        ContinuationConfig(N=1, n0=0)
+    # the loop counts and the tally; q and every bound belong to SolverParams
+    fields = [f.name for f in dataclasses.fields(ContinuationConfig)]
+    assert fields == ["N", "n0", "op_counter"]
 
 
 def test_zero_operator_returns_target():
-    cfg = _cfg(0.0, 1, 7)
+    cfg = ContinuationConfig(1, 7)
     target = np.array([1.0, -2.0, 3.0])
     out = level_solve(lambda v: np.zeros_like(v), 1, target, cfg)
     assert np.array_equal(out, target)
@@ -54,7 +56,7 @@ def test_zero_operator_returns_target():
 
 
 def test_zero_operator_any_level():
-    cfg = _cfg(0.0, 3, 4)
+    cfg = ContinuationConfig(3, 4)
     target = np.array([2.0, 5.0])
     out = level_solve(lambda v: np.zeros_like(v), 3, target, cfg)
     assert np.array_equal(out, target)
@@ -64,9 +66,9 @@ def test_zero_operator_any_level():
 def test_scalar_closed_form():
     # xi + 0.9 xi = 1.9 has solution xi = 1
     F = lambda v: 0.9 * v
-    out1 = p_inverse(F, np.array([1.9]), _cfg(0.9, 1, 200))
+    out1 = p_inverse(F, np.array([1.9]), ContinuationConfig(1, 200))
     assert abs(out1[0] - 1.0) <= 1e-9
-    out2 = p_inverse(F, np.array([1.9]), _cfg(0.9, 2, 200))
+    out2 = p_inverse(F, np.array([1.9]), ContinuationConfig(2, 200))
     assert abs(out2[0] - 1.0) <= 1e-9
     assert abs(out1[0] - out2[0]) <= 2e-9  # continuation path-independence
 
@@ -78,12 +80,12 @@ def test_linear_system_against_dense_solve():
     z = np.array([1.0, -2.0, 0.5])
     direct = np.linalg.solve(np.eye(3) + A, z)
     for N in (1, 2):
-        out = p_inverse(lambda v: A @ v, z, _cfg(L, N, 400))
+        out = p_inverse(lambda v: A @ v, z, ContinuationConfig(N, 400))
         assert np.max(np.abs(out - direct)) <= 1e-8
 
 
 def test_level_bounds_checked():
-    cfg = _cfg(0.5, 2, 3)
+    cfg = ContinuationConfig(2, 3)
     with pytest.raises(ValueError, match="level must be in"):
         level_solve(lambda v: v, 3, np.zeros(2), cfg)
     with pytest.raises(ValueError, match="level must be in"):
@@ -91,7 +93,7 @@ def test_level_bounds_checked():
 
 
 def test_nonfinite_iterate_raises():
-    cfg = _cfg(0.5, 1, 10)
+    cfg = ContinuationConfig(1, 10)
     blow_up = lambda v: np.full_like(v, np.inf)
     with pytest.raises(SolverError, match="non-finite iterate"):
         level_solve(blow_up, 1, np.array([1.0]), cfg)
@@ -117,7 +119,7 @@ def test_steps_never_write_into_arrays_they_do_not_own():
     # iterate at step 2, so it stops after two steps of 5 + 1 maps
     for F, maps in ((lambda v: v, (5, 30)), (lambda v: kept, (5, 12))):
         for level in (1, 2):
-            cfg, seen = _cfg(0.9, 2, 5), []
+            cfg, seen = ContinuationConfig(2, 5), []
 
             def watched(v):  # every argument F receives, with a copy of it
                 seen.append((v, v.copy()))
@@ -128,7 +130,7 @@ def test_steps_never_write_into_arrays_they_do_not_own():
             assert got.tobytes() == want.tobytes()
             assert len(seen) == cfg.op_counter == maps[level - 1]
             assert all(v.tobytes() == copy.tobytes() for v, copy in seen)
-        got = p_inverse(F, target, _cfg(0.9, 2, 5))
+        got = p_inverse(F, target, ContinuationConfig(2, 5))
         assert got.tobytes() == _plain_level(F, 1, _plain_level(F, 2, target, 2, 5), 2, 5).tobytes()
         assert target.tolist() == [1.0, -2.0, 0.5]
         assert kept.tolist() == [0.25, 0.5, -1.0]
@@ -180,12 +182,12 @@ def test_level_stop_is_bit_identical_to_the_plain_loop(name):
     assert [_top_repeat(F, level, y, 3, n0) for level in (2, 3)] == repeats
     got = []
     for level in (2, 3):
-        cfg = _cfg(0.9, 3, n0)
+        cfg = ContinuationConfig(3, n0)
         out = level_solve(F, level, y, cfg)
         assert out.tobytes() == _plain_level(F, level, y, 3, n0).tobytes()
         assert not np.shares_memory(out, y)
         got.append(cfg.op_counter)
-    cfg = _cfg(0.9, 3, n0)
+    cfg = ContinuationConfig(3, n0)
     want = y
     for level in (3, 2, 1):
         want = _plain_level(F, level, want, 3, n0)
@@ -198,7 +200,7 @@ def test_level_stop_is_bit_identical_to_the_plain_loop(name):
 def test_level_one_is_bit_identical_to_the_plain_loop(name):
     F, y, n0, _, _ = LEVEL_CASES[name]
     y = np.array(y)
-    cfg = _cfg(0.9, 3, n0)
+    cfg = ContinuationConfig(3, n0)
     out = level_solve(F, 1, y, cfg)
     assert out.tobytes() == _plain_level(F, 1, y, 3, n0).tobytes()
     assert not np.shares_memory(out, y)
@@ -210,7 +212,7 @@ def test_level_one_never_returns_its_target(n0):
     # maps that hand back their argument, or an array they keep, at every step
     y, kept = np.array([0.5, -1.0]), np.array([0.0, 0.0])
     for F in (lambda v: v, lambda v: kept, lambda v: np.zeros_like(v)):
-        out = level_solve(F, 1, y, _cfg(0.0, 1, n0))
+        out = level_solve(F, 1, y, ContinuationConfig(1, n0))
         assert not np.shares_memory(out, y)
         assert not np.shares_memory(out, kept)
         assert out.tobytes() == _plain_level(F, 1, y, 1, n0).tobytes()
@@ -219,7 +221,7 @@ def test_level_one_never_returns_its_target(n0):
 
 @pytest.mark.parametrize("step", [0, 1, 4])
 def test_nonfinite_level_one_step_counts_the_maps_made(step):
-    cfg, argument = _cfg(0.5, 2, 5), []
+    cfg, argument = ContinuationConfig(2, 5), []
 
     def F(v):
         argument.append(v.copy())
@@ -241,7 +243,7 @@ def test_nonfinite_level_iterate_raises_before_any_repeat():
     # differ, so the stop never fires and the step raises as in the full loop
     F = lambda v: np.where(v > 4.0, np.inf, -2.0 * v + 1.0)
     for level in (2, 3):
-        cfg, argument = _cfg(0.9, 3, 4), []
+        cfg, argument = ContinuationConfig(3, 4), []
 
         def watched(v):
             argument.append(v.copy())
@@ -258,7 +260,7 @@ def test_nonfinite_level_iterate_raises_before_any_repeat():
 
 
 def test_nonfinite_iterate_carries_the_maps_argument():
-    cfg = _cfg(0.5, 2, 3)
+    cfg = ContinuationConfig(2, 3)
     argument = []
 
     def F(v):
@@ -327,8 +329,8 @@ def test_repeat_stop_passes_a_steps_error_on():
 
 def test_op_counter_exact_for_p_inverse(bench):
     sys_, F1, g1 = bench
-    for L, N, n0 in ((0.9, 1, 12), (1.1, 2, 12), (1.1, 2, 25)):
-        cfg = _cfg(L, N, n0)
+    for N, n0 in ((1, 12), (2, 12), (2, 25)):
+        cfg = ContinuationConfig(N, n0)
         p_inverse(F1, g1, cfg)
         assert cfg.op_counter == (n0 + 1) ** N - 1
         assert cfg.op_counter <= (n0 + 1) ** N
@@ -337,16 +339,15 @@ def test_op_counter_exact_for_p_inverse(bench):
 @pytest.mark.parametrize("n0", [10, 20, 55])
 def test_defect_within_inner_bound(bench, n0):
     sys_, F1, g1 = bench
-    cfg = _cfg(1.1, 2, n0)
-    xi = p_inverse(F1, g1, cfg)
+    xi = p_inverse(F1, g1, ContinuationConfig(2, n0))
     defect = norm(sys_, xi + F1(xi) - g1)
-    assert defect <= inner_bound(cfg, norm(sys_, g1))
+    assert defect <= inner_bound(_params(1.1, 2, n0), norm(sys_, g1))
 
 
 def test_level_contraction_witness(bench):
     # consecutive iterates of every level solve contract at least by q
     sys_, F1, g1 = bench
-    cfg = _cfg(1.1, 2, 30)
+    cfg = ContinuationConfig(2, 30)
     runs, current = [], {}
 
     def on_step(level, k, w):
@@ -366,14 +367,13 @@ def test_level_contraction_witness(bench):
             d1, d2 = norm(sys_, b - a), norm(sys_, c - b)
             if d1 > 1e-13:  # below that, rounding noise dominates the ratio
                 worst = max(worst, d2 / d1)
-    assert worst <= cfg.q * (1 + 1e-6)
+    assert worst <= 1.1 / cfg.N * (1 + 1e-6)
 
 
 def test_inner_bound_value():
     # independent recomputation of the q=0.55, N=2, n0=55 case
-    cfg = _cfg(1.1, 2, 55)
     expected = 0.55**56 / 0.45 * ((math.e**1.1 - 1.0) / (math.e**0.55 - 1.0))
-    got = inner_bound(cfg, 1.0)
+    got = inner_bound(_params(1.1, 2, 55), 1.0)
     assert got == pytest.approx(expected, rel=1e-15)
     assert got == pytest.approx(1.752983927419558e-14, rel=1e-12)
 
@@ -381,16 +381,12 @@ def test_inner_bound_value():
 def test_inner_bound_monotone_in_n0():
     prev = None
     for n0 in range(5, 60, 5):
-        val = inner_bound(_cfg(1.1, 2, n0), 1.0)
+        val = inner_bound(_params(1.1, 2, n0), 1.0)
         if prev is not None:
             assert val < prev
         prev = val
 
 
 def test_inner_bound_degenerate_cases():
-    assert inner_bound(_cfg(1.1, 2, 55), 0.0) == 0.0
-    assert inner_bound(_cfg(0.0, 1, 10), 5.0) == 0.0
-    cfg = _cfg(0.5, 1, 10)
-    cfg.q = 1.5  # simulate a corrupted config
-    with pytest.raises(ValueError, match="q < 1"):
-        inner_bound(cfg, 1.0)
+    assert inner_bound(_params(1.1, 2, 55), 0.0) == 0.0
+    assert inner_bound(_params(0.0, 1, 10), 5.0) == 0.0

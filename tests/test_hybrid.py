@@ -7,14 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vfsolve import cli, continuation, discrete
-from vfsolve.continuation import ContinuationConfig, SolverError, inner_bound, p_inverse
+from vfsolve import cli, discrete
+from vfsolve.continuation import ContinuationConfig, SolverError, p_inverse
 from vfsolve.discrete import build_system, fred, norm, phi, residual
 from vfsolve.hybrid import (
     ErrorBudget,
     SolverParams,
     derive_params,
     fixed_point_error,
+    inner_bound,
     iteration_bound,
     iteration_bound_fine,
     op_budget,
@@ -336,16 +337,15 @@ def test_inner_bound_value_covers_every_inner_solve(bench):
     zs = []
     _full_outer_loop(bench, params, lambda t, z: zs.append(z))
     sol = solve(bench, params)
-    cfg = ContinuationConfig(params.N, params.q, params.n0)
     z_max = max(norm(bench, z) for z in zs)
     assert z_max > params.g_norm
-    assert sol.budget.inner_bound_value == inner_bound(cfg, z_max)
+    assert sol.budget.inner_bound_value == inner_bound(params, z_max)
     _, f0, _ = bench.shift
 
     def F1(v):
         return fred(bench, v) - f0
 
-    xi = p_inverse(F1, zs[-1], cfg)
+    xi = p_inverse(F1, zs[-1], ContinuationConfig(params.N, params.n0))
     assert np.array_equal(xi, sol.xi)
     assert norm(bench, xi + F1(xi) - zs[-1]) <= sol.budget.inner_bound_value
 
@@ -391,8 +391,7 @@ def _full_outer_loop(sys, params, outer_callback):
         z_norm = max(z_norm, discrete.norm(sys, z))
         outer_callback(t, z.copy())
     xi = _plain_p_inverse(F1, z, params.N, params.n0)
-    cfg = ContinuationConfig(params.N, params.q, params.n0)
-    return xi, continuation.inner_bound(cfg, z_norm), maps, discrete.residual(sys, xi)
+    return xi, inner_bound(params, z_norm), maps, discrete.residual(sys, xi)
 
 
 # name -> (rule, cells, n0, (i, period) of the first repeat of the full loop)
@@ -554,18 +553,14 @@ def test_outer_contraction_witness(bench):
 
 
 def test_p_inverse_nonexpansive(bench):
-    from vfsolve.continuation import ContinuationConfig, p_inverse
-
     _, f0, g1 = bench.shift
 
     def F1(v):
-        from vfsolve.discrete import fred
-
         return fred(bench, v) - f0
 
     rng = np.random.default_rng(12345)
     for _ in range(5):
-        cfg = ContinuationConfig(N=2, q=1.1 / 2, n0=20)
+        cfg = ContinuationConfig(N=2, n0=20)
         z1 = g1 + rng.uniform(-0.5, 0.5, bench.dim)
         z2 = g1 + rng.uniform(-0.5, 0.5, bench.dim)
         d_out = norm(bench, p_inverse(F1, z1, cfg) - p_inverse(F1, z2, cfg))

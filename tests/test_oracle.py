@@ -470,6 +470,22 @@ def test_newton_failures_keep_their_errors(case, action):
     assert (type(info.value), str(info.value)) == expected[action]
 
 
+@pytest.mark.parametrize("which", ["k1", "k2"])
+def test_failing_map_sums_warn_from_the_replay_only(which):
+    # the map's own sums would print numpy's warning once more before the replay's
+    sys_ = _benchmark_system(10, prob=_mixed_infinities_in_late_rows(which))
+
+    def warned(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError):
+                run()
+        return [(w.category, w.filename, w.lineno, str(w.message)) for w in caught]
+
+    replay = warned(lambda: (discrete.phi(sys_, sys_.g_vec), discrete.fred(sys_, sys_.g_vec)))
+    assert replay and warned(lambda: newton_solve(sys_)) == replay
+
+
 # each kernel fails in the rows t > 0.5 only, 5 to 9 of 10 midpoint cells: in
 # a block after the first, and in several blocks, of 1 or 3 rows
 MAP_BLOCK_FAILURES = {
