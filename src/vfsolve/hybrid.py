@@ -338,7 +338,9 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
         try:
             return continuation.p_inverse(F1, z, cfg)
         except SolverError as err:
-            discrete.fred(sys, err.state)  # names a non-finite table cell, if any
+            # names a non-finite table cell, if any; the map's own sum warned already
+            with np.errstate(invalid="ignore", over="ignore"):
+                discrete.fred(sys, err.state)
             raise
 
     cfg = ContinuationConfig(params.N, params.n0)

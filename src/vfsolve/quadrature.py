@@ -34,6 +34,7 @@ for the builtin benchmark.  Row sums remain exact for all rules.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,10 @@ class Grid:
             raise ValueError("interval endpoints must be finite")
         if self.b <= self.a:
             raise ValueError(f"need b > a, got [{self.a}, {self.b}]")
+        try:  # an int or a numpy integer, stored as an int
+            object.__setattr__(self, "n_cells", operator.index(self.n_cells))
+        except TypeError:
+            raise ValueError(f"cell count must be an integer, got {self.n_cells!r}") from None
         if self.n_cells < 1:
             raise ValueError(f"need at least one cell, got {self.n_cells}")
 
@@ -66,7 +71,7 @@ class Grid:
 
 
 def make_grid(a: float, b: float, n_cells: int) -> Grid:
-    return Grid(float(a), float(b), int(n_cells))
+    return Grid(float(a), float(b), n_cells)
 
 
 @dataclass(frozen=True)
@@ -115,12 +120,12 @@ def build_scheme(grid: Grid, rule: str, midpoint_rows: str = "half_cell") -> Qua
         n = grid.n_cells
         nodes = grid.a + (np.arange(n) + 0.5) * h
         gw = np.full(n, h)
-        if midpoint_rows == "half_cell":
-            vw = np.tril(np.full((n, n), h), -1)
+        # h and +0.0 from a bool mask: no dim^2 float temporary beside the table
+        half_cell = midpoint_rows == "half_cell"
+        vw = np.multiply(np.tri(n, n, -1 if half_cell else 0, dtype=bool), h)
+        if half_cell:
             np.fill_diagonal(vw, h / 2.0)
-        else:
-            vw = np.tril(np.full((n, n), h))
-        order = 2 if midpoint_rows == "half_cell" else 1
+        order = 2 if half_cell else 1
         return QuadScheme("midpoint", order, grid, nodes, gw, vw, midpoint_rows)
 
     n = grid.n_cells + 1  # closed rules include both endpoints

@@ -342,6 +342,14 @@ def test_grid_too_large_to_allocate_is_config_error(tmp_path, capsys, monkeypatc
         )
 
 
+def test_non_integral_cell_count_is_config_error():
+    # the grid refuses it, so the one grid->scheme->system builder does too
+    rc = dataclasses.replace(RunConfig(builtin_problem("benchmark")), cells=2.5)
+    with pytest.raises(ConfigError) as info:
+        cli._system(rc)
+    assert str(info.value) == "cell count must be an integer, got 2.5"
+
+
 def test_write_error_after_the_solve_is_config_error(tmp_path, capsys, monkeypatch):
     def refuse_writes(file, mode="r", **kwargs):
         if "w" in mode:
@@ -490,6 +498,10 @@ BAD_FIELDS = {
     ),
     "no cells": (
         MINIMAL + "[quadrature]\ncells = 0\n", "field 'cells' must be at least 1, got 0"
+    ),
+    "fractional cells": (
+        MINIMAL + "[quadrature]\ncells = 2.5\n",
+        "field 'cells' in [quadrature] must be a int, got '2.5'",
     ),
     "no problem": ("[solver]\neps = 1e-3\n", "missing required section [problem]"),
     "reversed interval": (

@@ -648,3 +648,23 @@ def test_failing_inner_map_raises_its_exact_error(name, rule, action):
         with pytest.raises(Exception) as info:
             solve(sys_, params)
     assert (type(info.value), str(info.value)) == want[rule]
+
+
+@pytest.mark.parametrize("rule", ["midpoint", "trapezoid"])
+@pytest.mark.parametrize("name", list(FAILING_MAPS))
+def test_failing_inner_map_warns_from_its_own_sum_only(name, rule):
+    # the replayed fred would print the overflow once more, as "matmul"
+    prob, _ = FAILING_MAPS[name]
+    sys_ = build_system(prob, build_scheme(make_grid(prob.a, prob.b, 20), rule))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        params = derive_params(prob.M, prob.L, 1.0, 1e-3, n0=4)
+        if name != "ln(x)":
+            params = prepare(sys_, 1e-3, n0=4)
+        with pytest.raises(Exception):
+            solve(sys_, params)
+    seen = [(w.category, Path(w.filename).name, str(w.message)) for w in caught]
+    if name == "huge finite":
+        assert seen == [(RuntimeWarning, "discrete.py", "overflow encountered in dot")]
+    else:
+        assert seen == []

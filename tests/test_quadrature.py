@@ -1,7 +1,12 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from vfsolve.quadrature import build_scheme, make_grid
+from vfsolve.discrete import build_system
+from vfsolve.problem import benchmark_problem
+from vfsolve.quadrature import Grid, build_scheme, make_grid
 
 
 def test_midpoint_two_cells_square():
@@ -111,6 +116,22 @@ def test_grid_validation():
         make_grid(0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("n_cells", [2.5, 2.7, 4.0, np.float64(4.0), "4", None])
+@pytest.mark.parametrize("construct", [Grid, make_grid])
+def test_non_integral_cell_count_rejected(construct, n_cells):
+    # a float reached numpy's TypeError in build_scheme, or was truncated
+    with pytest.raises(ValueError) as info:
+        construct(0.0, 1.0, n_cells)
+    assert str(info.value) == f"cell count must be an integer, got {n_cells!r}"
+
+
+@pytest.mark.parametrize("construct", [Grid, make_grid])
+def test_numpy_integer_cell_count_is_stored_as_int(construct):
+    grid = construct(0.0, 1.0, np.int64(4))
+    assert type(grid.n_cells) is int and grid == make_grid(0.0, 1.0, 4)
+    assert build_scheme(grid, "simpson").dim == 5
+
+
 @pytest.mark.parametrize("a, b", [(0.0, np.inf), (np.nan, 1.0), (-np.inf, 0.0)])
 def test_grid_endpoints_must_be_finite(a, b):
     with pytest.raises(ValueError) as info:
@@ -126,3 +147,74 @@ def test_unknown_rule_rejected():
 def test_unknown_midpoint_convention_rejected():
     with pytest.raises(ValueError, match="row convention"):
         build_scheme(make_grid(0.0, 1.0, 4), "midpoint", midpoint_rows="both")
+
+
+# sha256 of nodes, global weights and Volterra weights, in that order
+SCHEME_DIGESTS = {
+    ("midpoint", "half_cell", 1): "38ed33819f19f9b81f1cb4c1f872ed7e88771019aa3856489a30c9bc3fe38240",
+    ("midpoint", "half_cell", 2): "650fafc5c31c34b46ac28667e764b1c7631c96564b3a94de187992a75bb38186",
+    ("midpoint", "half_cell", 7): "1d101ee6649cae4c7f929a700d821d5bf82127d99dbbfc35fd18c669a9656ea5",
+    ("midpoint", "half_cell", 50): "e69d001f207f5504b2ef8df6246383a414cd110545d192bf02432b01dc3e25af",
+    ("midpoint", "full_cell", 1): "74bcfda8698f0f558b70f711872f55a13241f3f523a347cc3340792fff1723b6",
+    ("midpoint", "full_cell", 2): "604f49741a2b6c67269db4290351e747e0b9576cfa285270c2d48a57694aaca0",
+    ("midpoint", "full_cell", 7): "7118804768a86d8e13e83eae02932f91bb70ef9c3e3919326f0ce2590602586f",
+    ("midpoint", "full_cell", 50): "f5ea6ea08abef75398f80db246e8f5146132c09f7f65cbdd09fe509626e941cd",
+    ("trapezoid", "half_cell", 1): "fcf4116d240e1cc6891cc5269f943eaebc296f05846702381884fdf062e36f29",
+    ("trapezoid", "half_cell", 2): "70d9d8ded64c01cc6db20ff4558f0d9753f745eb9a9ae2255b7a6bf15d157d85",
+    ("trapezoid", "half_cell", 7): "1410acc96bd239facdc91f25dab0b8069b1dca5a003fcabaabd2d30eb187ee7a",
+    ("trapezoid", "half_cell", 50): "5226f48a2e26cacccf10c1d0788a0b95d2b85226699f2bc51112f6d319ecae65",
+    # 2 cells: row 1 trapezoid; 4 and 6: odd rows ending in the 3/8 rule
+    ("simpson", "half_cell", 2): "34f18610e2a2f4f13445d6c706fa2c6eb23acb153837aea00eee501e74c9981a",
+    ("simpson", "half_cell", 4): "012de886a2235314e6bec5f3f71f8552ae3c246fa33a4a36227af17984df121f",
+    ("simpson", "half_cell", 6): "d7b6d88b8328dcbb9618e9b25dc4b030e11c5361e6b13b0cb25533b3794d7959",
+    ("simpson", "half_cell", 50): "6a4f872960d55f94135f9c9cb3bd8067c89cbaba1a62fc1cd8fd87862bf58cd4",
+}
+
+
+@pytest.mark.parametrize("rule, rows, n", SCHEME_DIGESTS)
+def test_scheme_tables_are_pinned_by_their_bytes(rule, rows, n):
+    sch = build_scheme(make_grid(0.0, 1.0, n), rule, midpoint_rows=rows)
+    tables = (sch.nodes, sch.global_weights, sch.volterra_weights)
+    digest = hashlib.sha256(b"".join(t.tobytes() for t in tables)).hexdigest()
+    assert digest == SCHEME_DIGESTS[rule, rows, n]
+
+
+@pytest.mark.parametrize("rows", ["half_cell", "full_cell"])
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 400])
+def test_midpoint_volterra_table_matches_the_tril_construction(rows, n):
+    # the table as np.tril built it, from a (n, n) table full of h
+    h = make_grid(0.0, 1.0, n).h
+    want = np.tril(np.full((n, n), h), -1 if rows == "half_cell" else 0)
+    if rows == "half_cell":
+        np.fill_diagonal(want, h / 2.0)
+    vw = build_scheme(make_grid(0.0, 1.0, n), "midpoint", midpoint_rows=rows).volterra_weights
+    assert vw.dtype == want.dtype and vw.shape == want.shape and vw.flags.c_contiguous
+    assert vw.tobytes() == want.tobytes()
+
+
+# numpy's 64 KiB cast buffer and Python objects: far below one float table
+# of 400 cells (1.25 MiB), which a dim^2 temporary would add
+_SMALL_BYTES = 96 * 1024
+
+
+@pytest.mark.parametrize("rule, rows", [
+    ("midpoint", "half_cell"), ("midpoint", "full_cell"),
+    ("trapezoid", "half_cell"), ("simpson", "half_cell"),
+])
+def test_setup_holds_no_more_than_its_tables_and_one_bool_table(rule, rows):
+    # each step's peak, over what it leaves held, is at most one dim^2 bool
+    prob = benchmark_problem()
+    grid = make_grid(prob.a, prob.b, 400)
+    transient = []
+    tracemalloc.start()
+    try:
+        scheme = build_scheme(grid, rule, midpoint_rows=rows)
+        held, peak = tracemalloc.get_traced_memory()
+        transient.append(peak - held)
+        tracemalloc.reset_peak()
+        system = build_system(prob, scheme)  # kept, so its tables count as held
+        held, peak = tracemalloc.get_traced_memory()
+        transient.append(peak - held)
+    finally:
+        tracemalloc.stop()
+    assert max(transient) <= scheme.dim**2 + _SMALL_BYTES, transient
