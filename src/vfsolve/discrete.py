@@ -19,17 +19,21 @@ rather than full meshes:
   arguments (s_0, xi_0), so kernels never see points outside
   [a, b]^2 x state-box; those cells are discarded afterwards.
 
-On a block of node rows (the Newton oracle's tables) t, and k1's s and x,
+On a block of node rows (the Newton oracle's Jacobian) t, and k1's s and x,
 hold only those rows; a kernel that computes each cell from its own
 arguments gives the rows of its whole table bit for bit.
 Either result is broadcast to (dim, dim), so a kernel may return a
 lower-rank array or a scalar (e.g. ``lambda t, s, x: 0.0``).  phi and
 fred take the kernel tables from :func:`k1_table` and :func:`k2_table`
-through one checked body, :func:`_checked_map`.  The table builder
-:func:`_table` also writes a slice of node rows, into a given buffer where
-a form serves, each row with the bits of the whole table's; the Newton
-oracle builds its tables that way, ``_BLOCK_CELLS`` cells at a time, and
-replays phi and fred on failure.  Only the length-dim output of phi
+through one checked body, :func:`_checked_map`.  They take buffers that a
+caller keeps, with the same result bits: ``table=`` receives the kernel
+table (a form writes it there; a kernel's own table, possibly a read-only
+broadcast view, is summed first and copied in after), and phi's ``block=``
+holds the weighted cells one block of whole rows at a time.  The Newton
+oracle maps with them, ``_BLOCK_CELLS`` cells a block, and builds the
+tables at a bumped state with :func:`_table`, which also writes a slice of
+node rows, into a given buffer where a form serves, each row with the bits
+of the whole table's.  Only the length-dim output of phi
 and fred is checked for non-finite values; when it fails, or when numpy's
 warning about the weighted sum is raised as an error (``python -W error``),
 the kernel's own table is searched for the offending cell to name in the
@@ -321,31 +325,38 @@ def k2_table(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     return _table(sys, "k2", v)
 
 
-def _volterra_sum(
-    sys: DiscreteSystem, vals: np.ndarray, rows: slice = slice(None), cells=None, out=None
-) -> np.ndarray:
+def _volterra_sum(sys: DiscreteSystem, vals: np.ndarray, block=None) -> np.ndarray:
     """phi's weighted row sums of a k1 table, or of a stack of them, unchecked.
 
-    ``vals`` may hold only the node rows ``rows``; ``cells``, a buffer of its
-    shape, then takes the weighted cells instead of a fresh table, and
-    ``out`` the sums.
+    ``block``, a buffer of whole node rows, takes the weighted cells of a
+    (dim, dim) table one row block at a time instead of a fresh table; each
+    row sums to the bits of the whole table's.
     """
-    mask = sys.volterra_mask[rows]
-    if cells is None:
+    mask, weights = sys.volterra_mask, sys.scheme.volterra_weights
+    if block is None:
         cells = np.where(mask, vals, 0.0)
-    else:
+        np.multiply(weights, cells, out=cells)
+        return cells.sum(axis=-1)
+    out = np.empty(sys.dim)
+    for lo in range(0, sys.dim, len(block)):
+        rows = slice(lo, lo + len(block))
+        cells = block[: len(mask[rows])]
         np.copyto(cells, 0.0)
-        np.copyto(cells, vals, where=mask)
-    np.multiply(sys.scheme.volterra_weights[rows], cells, out=cells)
-    return cells.sum(axis=-1, out=out)
+        np.copyto(cells, vals[rows], where=mask[rows])
+        np.multiply(weights[rows], cells, out=cells)
+        cells.sum(axis=-1, out=out[rows])
+    return out
 
 
-def _checked_map(sys: DiscreteSystem, which: str, v: np.ndarray) -> np.ndarray:
-    """:func:`phi` ("k1") or :func:`fred` ("k2") at a checked state ``v``."""
-    vals = _table(sys, which, v)
+def _checked_map(
+    sys: DiscreteSystem, which: str, v: np.ndarray, table=None, block=None
+) -> np.ndarray:
+    """:func:`phi` ("k1") or :func:`fred` ("k2") at a checked state ``v``,
+    leaving the kernel table in ``table`` when given."""
+    vals = _table(sys, which, v, out=table)
     try:
         if which == "k1":
-            out = _volterra_sum(sys, vals)
+            out = _volterra_sum(sys, vals, block)
         else:
             out = vals @ sys.scheme.global_weights
     except RuntimeWarning:  # numpy's warning about a bad table, raised by -W error
@@ -353,12 +364,19 @@ def _checked_map(sys: DiscreteSystem, which: str, v: np.ndarray) -> np.ndarray:
         raise
     if not np.isfinite(out).all():
         _check_kernel_values(sys, which, v, vals)
+    if table is not None and vals is not table:  # the kernel's own table
+        np.copyto(table, vals)
     return out
 
 
-def phi(sys: DiscreteSystem, xi) -> np.ndarray:
-    """Volterra part: row i integrates k1(t_i, s, xi(s)) over [a, t_i]."""
-    return _checked_map(sys, "k1", _as_state(sys, xi))
+def phi(sys: DiscreteSystem, xi, *, table=None, block=None) -> np.ndarray:
+    """Volterra part: row i integrates k1(t_i, s, xi(s)) over [a, t_i].
+
+    ``table``, a (dim, dim) buffer, receives :func:`k1_table` at ``xi``;
+    ``block``, a buffer of whole node rows, holds the weighted cells one row
+    block at a time.  The result has the same bits with or without them.
+    """
+    return _checked_map(sys, "k1", _as_state(sys, xi), table, block)
 
 
 def shifted_fred(sys: DiscreteSystem, f0: np.ndarray):
@@ -401,9 +419,13 @@ def shifted_fred(sys: DiscreteSystem, f0: np.ndarray):
     return fred_minus_f0
 
 
-def fred(sys: DiscreteSystem, xi) -> np.ndarray:
-    """Fredholm part: row i integrates k2(t_i, s, xi(s)) over [a, b]."""
-    return _checked_map(sys, "k2", _as_state(sys, xi))
+def fred(sys: DiscreteSystem, xi, *, table=None) -> np.ndarray:
+    """Fredholm part: row i integrates k2(t_i, s, xi(s)) over [a, b].
+
+    ``table``, a (dim, dim) buffer, receives :func:`k2_table` at ``xi``; the
+    result has the same bits with or without it.
+    """
+    return _checked_map(sys, "k2", _as_state(sys, xi), table)
 
 
 def inner(sys: DiscreteSystem, u, v) -> float:

@@ -10,23 +10,22 @@ from the kernel tables at xi and at bumped = xi + step:
 where dk is a kernel table at bumped minus the table at xi, V and w are the
 Volterra and global weights, and mask drops the clamped (s_j > t_i) cells.
 
-A solve allocates its tables once (:class:`_Workspace`): J, the k2 table at
-the iterate, and one block of whole rows of ``discrete._BLOCK_CELLS``
-cells.  An iteration writes phi's k1 table into J's buffer a row block at a
-time, summing each block's rows, and sums F from the whole k2 table.  J is
-then formed over the k1 table a row block at a time, from the rows of the
+A solve allocates its tables once (:class:`_Workspace`): J, the k2 table
+at the iterate, one block of whole rows of ``discrete._BLOCK_CELLS``
+cells, and J's finiteness mask.  An iteration maps through the checked :func:`vfsolve.discrete.phi`
+and :func:`vfsolve.discrete.fred`, which leave the kernel tables at the
+iterate in J's buffer and the k2 buffer, phi summing in the block a row
+block at a time; so the map's errors and warnings are theirs.  J is then
+formed over the k1 table a row block at a time, from the rows of the
 tables at bumped, each row with the bits of the whole-table arithmetic.
-Where a map block raises or the map comes out non-finite,
-:func:`vfsolve.discrete.phi` and :func:`vfsolve.discrete.fred` map the
-whole state again, so the errors, and numpy's warnings about the sums, are
-theirs.  Where forming J raises (a kernel, a factor, a numpy warning under
+Where forming J raises (a kernel, a factor, a numpy warning under
 ``python -W error``) or J comes out non-finite, J is built column by column
 from system maps, so failures raise exactly the errors the system maps
 raise.
 
 Deliberately shares no iteration machinery with the continuation solver so
-the two can check each other; the common code is the kernels, their
-separable forms and the weight tables of :mod:`vfsolve.discrete`.  No
+the two can check each other; the common code is :mod:`vfsolve.discrete`'s
+checked maps, kernel tables and weights.  No
 globalization: the systems in scope are contraction-dominated, and
 divergence is reported rather than repaired.
 """
@@ -100,8 +99,9 @@ class _Workspace:
 
     ``jac`` holds the k1 table at the iterate from :meth:`map` until
     :meth:`jacobian` turns it into the Jacobian, ``k2`` holds the k2 table
-    at the iterate, and ``block`` one row block of ``discrete._BLOCK_CELLS``
-    cells (whole rows, at least one).
+    at the iterate, ``block`` one row block of ``discrete._BLOCK_CELLS``
+    cells (whole rows, at least one), and ``finite`` the Jacobian's
+    finiteness mask.
     """
 
     def __init__(self, sys: discrete.DiscreteSystem):
@@ -112,53 +112,25 @@ class _Workspace:
         self.jac = np.empty((dim, dim))
         self.k2 = np.empty((dim, dim))
         self.block = np.empty((rows, dim))
-        self.k2_at = None  # the k2 table summed by the last map that passed
+        self.finite = np.empty((dim, dim), dtype=bool)
 
     def map(self, xi: np.ndarray) -> np.ndarray:
-        """:func:`_system_map` at ``xi``, bit for bit: phi a row block at a
-        time, F from the whole k2 table.
-
-        Where a block raises or the map is non-finite, phi and then fred map
-        the whole state again, so the error, and its text, is theirs.  The
-        sums keep numpy's warnings to themselves: each such warning leaves
-        the map non-finite, and the replay emits it, or raises it under
-        ``python -W error``.
-        """
+        """:func:`_system_map` at ``xi``, bit for bit, leaving the kernel
+        tables at ``xi`` in ``jac`` and ``k2``."""
         sys = self.sys
-        v = discrete._as_state(sys, xi)
-        self.k2_at = None
-        phi = np.empty(sys.dim)
-        try:
-            for rows in self.blocks:
-                k1 = self.jac[rows]
-                vals = discrete._table(sys, "k1", v, rows, k1)
-                if vals is not k1:  # the kernel's own table
-                    np.copyto(k1, vals)
-                cells = self.block[: rows.stop - rows.start]
-                with np.errstate(invalid="ignore", over="ignore"):  # the replay warns
-                    discrete._volterra_sum(sys, k1, rows, cells, phi[rows])
-            k2 = discrete._table(sys, "k2", v, out=self.k2)
-            with np.errstate(invalid="ignore", over="ignore"):
-                mapped = xi + phi + k2 @ sys.scheme.global_weights
-            finite = np.isfinite(mapped).all()
-        except Exception:  # a block's text would name the block, not the table
-            finite = False
-        if not finite:
-            return _system_map(sys, xi)
-        self.k2_at = k2
-        return mapped
+        return (
+            xi
+            + discrete.phi(sys, xi, table=self.jac, block=self.block)
+            + discrete.fred(sys, xi, table=self.k2)
+        )
 
     def jacobian(self, at: np.ndarray, step: float, base: np.ndarray) -> np.ndarray:
         """Forward-difference Jacobian at ``at``, which :meth:`map` last
         mapped to ``base``, written over the k1 table a row block at a time.
 
-        Each block is the whole-table arithmetic on its rows.  After a map
-        that replayed, the column loop builds it.
+        Each block is the whole-table arithmetic on its rows.
         """
-        sys, jac, k2_at = self.sys, self.jac, self.k2_at
-        if k2_at is None:  # the map replayed: no tables at ``at``
-            return _column_jacobian(sys, at, step, base)
-        self.k2_at = None  # the k1 table is overwritten below
+        sys, jac = self.sys, self.jac
         try:
             with np.errstate(invalid="ignore", over="ignore"):
                 bumped = at + step
@@ -174,14 +146,14 @@ class _Workspace:
                     np.copyto(part, 0.0, where=~sys.volterra_mask[rows])
                     part *= sys.scheme.volterra_weights[rows]
                     k2 = discrete._table(sys, "k2", bumped, rows, bumped_rows)
-                    dk2 = np.subtract(k2, k2_at[rows], out=bumped_rows)
+                    dk2 = np.subtract(k2, self.k2[rows], out=bumped_rows)
                     dk2 *= sys.scheme.global_weights
                     part += dk2
                     part /= step
                 jac.flat[:: sys.dim + 1] += diag
         except Exception:  # a kernel may raise anything
             jac = None
-        if jac is not None and np.isfinite(jac).all():
+        if jac is not None and np.isfinite(jac, out=self.finite).all():
             return jac
         # the column loop raises the system maps' own errors and warnings, or
         # returns the Jacobian they give

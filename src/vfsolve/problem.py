@@ -228,16 +228,6 @@ class AssumptionReport:
         return out
 
 
-def _box_of(g_vec: np.ndarray) -> float:
-    gmax = float(np.max(np.abs(g_vec)))
-    return 2.0 * gmax if gmax > 0.0 else 1.0
-
-
-def default_x_box(problem: Problem, scheme) -> float:
-    """Sample-box half-width: twice the largest |g| on the grid (1.0 if g = 0)."""
-    return _box_of(np.asarray(problem.g(scheme.nodes), dtype=float))
-
-
 def _pair_ratios(system, u: np.ndarray, v: np.ndarray) -> tuple | None:
     """One pair's three ratios through the checked maps; None if ||u - v|| = 0.
 
@@ -313,7 +303,10 @@ def check_assumptions(
         system = discrete.build_system(problem, scheme)
     elif system.problem is not problem or system.scheme is not scheme:
         raise ValueError("system was built for another problem or scheme")
-    box = _box_of(system.g_vec) if x_box is None else float(x_box)
+    if x_box is None:  # twice the largest |g| on the nodes, 1.0 if g = 0
+        gmax = float(np.max(np.abs(system.g_vec)))
+        x_box = 2.0 * gmax if gmax > 0.0 else 1.0
+    box = float(x_box)
     if box <= 0 or not np.isfinite(box):
         raise ValueError(f"x_box must be positive and finite, got {box}")
 

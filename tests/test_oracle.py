@@ -10,7 +10,7 @@ from vfsolve import discrete, oracle
 from vfsolve.discrete import build_system, k1_table, k2_table, norm, residual
 from vfsolve.expr import EvalDomainError
 from vfsolve.oracle import NewtonConfig, NewtonError, jacobian_check, newton_solve
-from vfsolve.problem import benchmark_problem, default_x_box, from_expressions
+from vfsolve.problem import benchmark_problem, from_expressions
 from vfsolve.quadrature import build_scheme, make_grid
 
 
@@ -70,7 +70,7 @@ def test_benchmark_node_errors_small(bench):
 
 
 def test_uniqueness_from_random_starts(bench):
-    box = default_x_box(benchmark_problem(), bench.scheme)
+    box = 2 * np.max(np.abs(bench.g_vec))
     rng = np.random.default_rng(12345)
     sols = [newton_solve(bench, start=rng.uniform(-box, box, bench.dim)) for _ in range(5)]
     worst = max(
@@ -185,7 +185,7 @@ def test_jacobian_check_rounded_away_bump_gives_zero_column():
 @pytest.mark.parametrize("rule, rows", SCHEMES)
 def test_jacobian_check_every_scheme(rule, rows):
     sys_ = _benchmark_system(40, rule, rows)
-    box = default_x_box(sys_.problem, sys_.scheme)
+    box = 2 * np.max(np.abs(sys_.g_vec))
     at = np.random.default_rng(2024).uniform(-box, box, sys_.dim)
     assert jacobian_check(sys_, at) <= 1e-6
 
@@ -216,6 +216,23 @@ def _block_rows(monkeypatch, sys_, rows):
     """Make the oracle's row blocks ``rows`` rows high: a count, or "whole"."""
     rows = sys_.dim if rows == "whole" else rows
     monkeypatch.setattr(discrete, "_BLOCK_CELLS", rows * sys_.dim)
+
+
+def _solve_recording_jacobians(monkeypatch, sys_, start=None):
+    """newton_solve's result, and each (J, delta) its LU solves took."""
+    factored = []
+    solve = np.linalg.solve
+
+    def spy(jac, rhs):
+        delta = solve(jac, rhs)
+        factored.append((jac.copy(), delta))
+        return delta
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    try:
+        return newton_solve(sys_, start=start), factored
+    finally:
+        monkeypatch.setattr(np.linalg, "solve", solve)
 
 
 @pytest.mark.parametrize("cells, rows", [
@@ -332,17 +349,7 @@ def test_newton_jacobians_match_whole_tables_bytewise(monkeypatch, rule, cells, 
     _block_rows(monkeypatch, sys_, rows)
     if name == "two_terms":
         assert len(sys_.k1_split) == len(sys_.k2_split) == 2
-    factored = []
-    solve = np.linalg.solve
-
-    def spy(jac, rhs):
-        delta = solve(jac, rhs)
-        factored.append((jac.copy(), delta))
-        return delta
-
-    monkeypatch.setattr(np.linalg, "solve", spy)
-    xi = newton_solve(sys_)
-    monkeypatch.undo()
+    xi, factored = _solve_recording_jacobians(monkeypatch, sys_)
     assert residual(sys_, xi) <= 1e-12 and factored
     at, step = sys_.g_vec, NewtonConfig().fd_step
     for jac, delta in factored:
@@ -471,8 +478,9 @@ def test_newton_failures_keep_their_errors(case, action):
 
 
 @pytest.mark.parametrize("which", ["k1", "k2"])
-def test_failing_map_sums_warn_from_the_replay_only(which):
-    # the map's own sums would print numpy's warning once more before the replay's
+def test_failing_map_sums_warn_as_phi_and_fred_do(which):
+    # the Newton map is phi and fred with the solve's buffers: its sums print
+    # numpy's warning as the maps' own do, once each
     sys_ = _benchmark_system(10, prob=_mixed_infinities_in_late_rows(which))
 
     def warned(run):
@@ -482,12 +490,14 @@ def test_failing_map_sums_warn_from_the_replay_only(which):
                 run()
         return [(w.category, w.filename, w.lineno, str(w.message)) for w in caught]
 
-    replay = warned(lambda: (discrete.phi(sys_, sys_.g_vec), discrete.fred(sys_, sys_.g_vec)))
-    assert replay and warned(lambda: newton_solve(sys_)) == replay
+    maps = warned(lambda: (discrete.phi(sys_, sys_.g_vec), discrete.fred(sys_, sys_.g_vec)))
+    assert maps and warned(lambda: newton_solve(sys_)) == maps
 
 
 # each kernel fails in the rows t > 0.5 only, 5 to 9 of 10 midpoint cells: in
-# a block after the first, and in several blocks, of 1 or 3 rows
+# the whole table, and for k1's non-finite cells in phi's weighted sum, which
+# the Newton map runs a row block of 1 or 3 rows at a time, so in a block
+# after the first and in several blocks
 MAP_BLOCK_FAILURES = {
     "k1_raises": lambda: _system("s*ln(0.5 - t)", "0"),
     "k1_nonfinite": lambda: _benchmark_system(10, prob=_inf_in_late_rows("k1")),
@@ -502,7 +512,7 @@ MAP_BLOCK_FAILURES = {
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("case", sorted(MAP_BLOCK_FAILURES))
 def test_map_block_failures_raise_the_whole_state_errors(monkeypatch, case, rows, action):
-    # a block's own error would count or name the cells of the block only
+    # an error from a block of the sum would name a cell of the block only
     sys_ = MAP_BLOCK_FAILURES[case]()
     _block_rows(monkeypatch, sys_, rows)
     with warnings.catch_warnings():
@@ -515,41 +525,9 @@ def test_map_block_failures_raise_the_whole_state_errors(monkeypatch, case, rows
     assert (type(info.value), str(info.value)) == (type(whole.value), str(whole.value))
 
 
-def test_map_that_replays_gets_the_column_jacobian(monkeypatch):
-    # a k1 that refuses any block short of the whole table: every map replays
-    # on the whole state and passes, which leaves no tables for the Jacobian
-    bp = benchmark_problem()
-
-    def k1(t, s, x):
-        if np.size(t) < 10:
-            raise ArithmeticError("k1 refuses a block of rows")
-        return bp.k1(t, s, x)
-
-    sys_ = _benchmark_system(10, prob=dataclasses.replace(bp, k1=k1, k1_terms=None))
-    _block_rows(monkeypatch, sys_, 3)
-    factored = []
-    solve = np.linalg.solve
-
-    def spy(jac, rhs):
-        delta = solve(jac, rhs)
-        factored.append((jac.copy(), delta))
-        return delta
-
-    monkeypatch.setattr(np.linalg, "solve", spy)
-    xi = newton_solve(sys_)
-    monkeypatch.undo()
-    assert residual(sys_, xi) <= 1e-12 and factored
-    at, step = sys_.g_vec, NewtonConfig().fd_step
-    for jac, delta in factored:
-        expected = oracle._column_jacobian(sys_, at, step, oracle._system_map(sys_, at))
-        assert jac.tobytes() == expected.tobytes()
-        at = at - delta
-    assert np.array_equal(at, xi)
-
-
 def test_newton_memory_stays_below_three_tables():
-    # J, the k2 table and one row block; numpy.linalg.solve's copy of J is
-    # LAPACK's, which tracemalloc does not see
+    # J, the k2 table, one row block and J's bool mask; numpy.linalg.solve's
+    # copy of J is LAPACK's, which tracemalloc does not see
     sys_ = _benchmark_system(400)
     assert sys_.k1_split and sys_.k2_split  # the system's own tables, built once
     tracemalloc.start()
@@ -559,6 +537,100 @@ def test_newton_memory_stays_below_three_tables():
     finally:
         tracemalloc.stop()
     assert peak < 3 * sys_.dim**2 * 8
+
+
+@pytest.mark.parametrize("cells", [10, 400])
+def test_newton_maps_through_phi_and_fred(monkeypatch, cells):
+    # once each per iteration, and once for the final check, through the
+    # module attributes that the benchmark's tracer wraps
+    sys_ = _benchmark_system(cells)
+    calls = {"phi": 0, "fred": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(discrete, "phi", counted("phi", discrete.phi))
+    monkeypatch.setattr(discrete, "fred", counted("fred", discrete.fred))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    newton_solve(sys_)
+    monkeypatch.undo()
+    assert calls["solve"] > 0
+    assert calls["phi"] == calls["fred"] == calls["solve"] + 1
+
+
+def test_newton_iterations_allocate_less_than_a_row_block(monkeypatch):
+    # the solve's buffers are allocated before its first map; from there to
+    # each LU solve, and from that to the next or to the end, tracemalloc's
+    # peak stays below one row block above where the stretch began
+    sys_ = _benchmark_system(400)
+    assert sys_.k1_split and sys_.k2_split  # the system's own tables, built once
+    grown, base = [], [None]
+
+    def mark():
+        current, peak = tracemalloc.get_traced_memory()
+        if base[0] is not None:
+            grown.append(peak - base[0])
+        tracemalloc.reset_peak()
+        base[0] = current
+
+    class Workspace(oracle._Workspace):
+        def __init__(self, sys_):
+            super().__init__(sys_)
+            mark()
+
+    solve = np.linalg.solve
+
+    def marked_solve(jac, rhs):
+        mark()
+        return solve(jac, rhs)
+
+    monkeypatch.setattr(oracle, "_Workspace", Workspace)
+    monkeypatch.setattr(np.linalg, "solve", marked_solve)
+    tracemalloc.start()
+    try:
+        newton_solve(sys_)
+        mark()
+    finally:
+        tracemalloc.stop()
+    assert len(grown) > 2 and max(grown) < discrete._BLOCK_CELLS * 8, grown
+
+
+def _zero_kernels():
+    # both kernels' tables are read-only broadcast views of 0.0
+    zero = lambda t, s, x: 0.0
+    return dataclasses.replace(
+        benchmark_problem(), k1=zero, k2=zero, k1_terms=None, k2_terms=None
+    )
+
+
+BUFFER_FORMS = {"form": benchmark_problem, "termless": _termless_benchmark, "zero": _zero_kernels}
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("form", sorted(BUFFER_FORMS))
+@pytest.mark.parametrize("rule, scheme_rows", SCHEMES)
+def test_map_buffers_keep_the_bytes(monkeypatch, rule, scheme_rows, form, rows):
+    # phi's and fred's results are the same with the Newton map's buffers as
+    # without, and the buffers hold the kernel tables after them
+    sys_ = _benchmark_system(10, rule, scheme_rows, prob=BUFFER_FORMS[form]())
+    assert (sys_.k1_split is not None) == (form == "form")
+    _block_rows(monkeypatch, sys_, rows)
+    work = oracle._Workspace(sys_)
+    assert work.block.shape == (rows, sys_.dim)
+    states = [sys_.g_vec, np.random.default_rng(7).uniform(-3.0, 3.0, sys_.dim)]
+    for xi in states:
+        work.jac.fill(np.nan)
+        work.k2.fill(np.nan)
+        phi = discrete.phi(sys_, xi, table=work.jac, block=work.block)
+        assert phi.tobytes() == discrete.phi(sys_, xi).tobytes()
+        assert work.jac.tobytes() == k1_table(sys_, xi).tobytes()
+        fred = discrete.fred(sys_, xi, table=work.k2)
+        assert fred.tobytes() == discrete.fred(sys_, xi).tobytes()
+        assert work.k2.tobytes() == k2_table(sys_, xi).tobytes()
 
 
 def _k2_factor_fails_below_two():
@@ -581,6 +653,29 @@ def test_raising_factor_gives_the_kernels_bytes():
     assert newton_solve(sys_).tobytes() == newton_solve(termless).tobytes()
 
 
+def test_map_that_replays_gets_the_column_jacobian(monkeypatch):
+    # a k1 that refuses any block short of the whole table: the maps, on
+    # whole tables, pass, while with blocks of 3 rows every Jacobian raises
+    # and the column loop's maps, each bumping one entry, build it
+    bp = benchmark_problem()
+
+    def k1(t, s, x):
+        if np.size(t) < 10:
+            raise ArithmeticError("k1 refuses a block of rows")
+        return bp.k1(t, s, x)
+
+    sys_ = _benchmark_system(10, prob=dataclasses.replace(bp, k1=k1, k1_terms=None))
+    _block_rows(monkeypatch, sys_, 3)
+    xi, factored = _solve_recording_jacobians(monkeypatch, sys_)
+    assert residual(sys_, xi) <= 1e-12 and factored
+    at, step = sys_.g_vec, NewtonConfig().fd_step
+    for jac, delta in factored:
+        expected = oracle._column_jacobian(sys_, at, step, oracle._system_map(sys_, at))
+        assert jac.tobytes() == expected.tobytes()
+        at = at - delta
+    assert np.array_equal(at, xi)
+
+
 def test_unformable_jacobian_gets_the_column_jacobian(monkeypatch):
     # from the constant start c, the Jacobian's tables at c + step are the
     # only state with no entry at c, and k2 refuses it; the column loop's
@@ -597,17 +692,7 @@ def test_unformable_jacobian_gets_the_column_jacobian(monkeypatch):
 
     sys_ = _benchmark_system(10, prob=dataclasses.replace(bp, k2=k2, k2_terms=None))
     start = np.full(sys_.dim, c)
-    factored = []
-    solve = np.linalg.solve
-
-    def spy(jac, rhs):
-        delta = solve(jac, rhs)
-        factored.append((jac.copy(), delta))
-        return delta
-
-    monkeypatch.setattr(np.linalg, "solve", spy)
-    xi = newton_solve(sys_, start=start)
-    monkeypatch.undo()
+    xi, factored = _solve_recording_jacobians(monkeypatch, sys_, start)
     assert residual(sys_, xi) <= 1e-12 and len(refused) == 1 and len(factored) > 1
     at, step = start, NewtonConfig().fd_step
     for i, (jac, delta) in enumerate(factored):
