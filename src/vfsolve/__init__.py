@@ -16,7 +16,7 @@ count; ``vf.cli.main`` is the console entry point (``vfsolve solve|bound|
 table|convergence``).
 """
 
-from .continuation import ContinuationConfig, SolverError, level_solve, p_inverse
+from .continuation import ContinuationConfig, SolverError, p_inverse
 from .discrete import DiscreteSystem, build_system, fred, inner, norm, phi, residual
 from .expr import EvalDomainError, ExprError, evaluate, parse_expression, to_string
 from .hybrid import (
@@ -32,7 +32,7 @@ from .hybrid import (
     prepare,
     solve,
 )
-from .oracle import NewtonConfig, NewtonError, jacobian_check, newton_solve
+from .oracle import NewtonError, newton_solve
 from .problem import (
     AssumptionReport,
     Problem,
@@ -71,7 +71,6 @@ __all__ = [
     # continuation core
     "ContinuationConfig",
     "SolverError",
-    "level_solve",
     "p_inverse",
     # hybrid solver and bounds
     "SolverParams",
@@ -86,10 +85,8 @@ __all__ = [
     "fixed_point_error",
     "op_budget",
     # Newton oracle
-    "NewtonConfig",
     "NewtonError",
     "newton_solve",
-    "jacobian_check",
     # expressions
     "ExprError",
     "EvalDomainError",

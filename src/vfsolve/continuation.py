@@ -40,7 +40,6 @@ import numpy as np
 __all__ = [
     "ContinuationConfig",
     "SolverError",
-    "level_solve",
     "p_inverse",
     "repeat_stop",
 ]
@@ -77,22 +76,6 @@ class ContinuationConfig:
             raise ValueError(f"need n0 >= 1, got {self.n0}")
 
 
-def level_solve(F, level: int, target, cfg: ContinuationConfig):
-    """n0 fixed-point steps of w <- -eps0*F(chain(w)) + target at one level.
-
-    ``chain`` inverts all lower levels (a fresh level solve for each, down to
-    the first that hands back its lower inverse), so the cost is exponential
-    in ``level``.  The iteration starts from the target itself.  A level
-    >= 2 runs in :func:`repeat_stop`, so it may stop early, with the bits of
-    the full loop.  Level 1 has no chain and runs its n0 steps in a loop of
-    its own.
-    """
-    if not 1 <= level <= cfg.N:
-        raise ValueError(f"level must be in [1, {cfg.N}], got {level}")
-    target = np.asarray(target, dtype=float)
-    return _level(F, level, target, cfg)[0] if level > 1 else _level1(F, target, cfg)
-
-
 def _nonfinite(level: int, step: int, state) -> SolverError:
     """The error of a step whose iterate is non-finite; ``state`` is F's argument."""
     return SolverError(
@@ -121,9 +104,10 @@ def _level1(F, target: np.ndarray, cfg: ContinuationConfig) -> np.ndarray:
 
 
 def _level(F, level: int, target: np.ndarray, cfg: ContinuationConfig) -> tuple:
-    """:func:`level_solve`'s loop at a level >= 2, by :func:`repeat_stop`.
-    Returns (w, v) with v = P_(level-1)^(-1)(w) when a step already computed
-    it, that is when the loop stopped at a repeat, and v = None otherwise."""
+    """n0 steps w <- -eps0*F(P_(level-1)^(-1)(w)) + target at a level >= 2,
+    from w = target, by :func:`repeat_stop`.  Returns (w, v) with
+    v = P_(level-1)^(-1)(w) when a step already computed it, that is when
+    the loop stopped at a repeat, and v = None otherwise."""
     scale = -(1.0 / cfg.N)
 
     def step(v, t):

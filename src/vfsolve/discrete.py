@@ -82,7 +82,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .problem import Problem
-    from .quadrature import Grid, QuadScheme
+    from .quadrature import QuadScheme
 
 __all__ = [
     "DiscreteSystem",
@@ -120,10 +120,6 @@ class DiscreteSystem:
     @property
     def dim(self) -> int:
         return self.scheme.dim
-
-    @property
-    def grid(self) -> "Grid":
-        return self.scheme.grid
 
     @cached_property
     def shift(self) -> tuple:

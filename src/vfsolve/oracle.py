@@ -32,39 +32,20 @@ divergence is reported rather than repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import discrete
 
-__all__ = ["NewtonConfig", "NewtonError", "newton_solve", "jacobian_check", "DIM_CAP"]
+__all__ = ["NewtonError", "newton_solve", "DIM_CAP"]
 
 DIM_CAP = 1000
-_CHECK_DIM_CAP = 60
+MAX_ITER = 50
+RESIDUAL_TOL = 1e-12  # in the weighted norm
+FD_STEP = 1e-7
 
 
 class NewtonError(RuntimeError):
     """Newton iteration failed: singular Jacobian, divergence, or no convergence."""
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    max_iter: int = 50
-    residual_tol: float = 1e-12  # in the weighted norm
-    fd_step: float = 1e-7
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError(f"need max_iter >= 1, got {self.max_iter}")
-        if not self.residual_tol > 0:
-            raise ValueError(f"need residual_tol > 0, got {self.residual_tol}")
-        if self.residual_tol == np.inf:
-            raise ValueError("need finite residual_tol > 0, got inf")
-        if not self.fd_step > 0:
-            raise ValueError(f"need fd_step > 0, got {self.fd_step}")
-        if self.fd_step == np.inf:
-            raise ValueError("need finite fd_step > 0, got inf")
 
 
 def _check_dim(dim: int) -> None:
@@ -82,8 +63,7 @@ def _column_jacobian(
 ) -> np.ndarray:
     """Forward differences one column at a time: dim system maps.
 
-    ``base`` is ``_system_map(sys, at)``.  The reference for
-    :func:`jacobian_check`, and the fallback that gives
+    ``base`` is ``_system_map(sys, at)``.  The fallback that gives
     :meth:`_Workspace.jacobian` the system maps' exact errors.
     """
     jac = np.empty((sys.dim, sys.dim))
@@ -160,29 +140,25 @@ class _Workspace:
         return _column_jacobian(sys, at, step, base)
 
 
-def newton_solve(
-    sys: discrete.DiscreteSystem,
-    cfg: NewtonConfig | None = None,
-    start=None,
-) -> np.ndarray:
+def newton_solve(sys: discrete.DiscreteSystem, *, start=None) -> np.ndarray:
     """Newton iteration from ``start`` (default: the forcing vector g).
 
-    Returns xi with weighted residual <= cfg.residual_tol, or raises
+    Returns xi with weighted residual <= :data:`RESIDUAL_TOL` within
+    :data:`MAX_ITER` steps of Jacobian step :data:`FD_STEP`, or raises
     :class:`NewtonError` naming the failure and the last residual seen.
     """
-    cfg = cfg or NewtonConfig()
     _check_dim(sys.dim)
     work = _Workspace(sys)
     xi = sys.g_vec.copy() if start is None else np.asarray(start, dtype=float).copy()
-    for it in range(cfg.max_iter + 1):
+    for it in range(MAX_ITER + 1):
         mapped = work.map(xi)
         defect = mapped - sys.g_vec
         res = discrete.norm(sys, defect)
-        if res <= cfg.residual_tol:
+        if res <= RESIDUAL_TOL:
             return xi
-        if it == cfg.max_iter:
+        if it == MAX_ITER:
             break
-        jac = work.jacobian(xi, cfg.fd_step, mapped)
+        jac = work.jacobian(xi, FD_STEP, mapped)
         try:
             delta = np.linalg.solve(jac, defect)
         except np.linalg.LinAlgError as exc:
@@ -193,30 +169,6 @@ def newton_solve(
                 f"iteration diverged to non-finite values (residual was {res:.3e})"
             )
     raise NewtonError(
-        f"no convergence within {cfg.max_iter} iterations; last residual {res:.3e}"
+        f"no convergence within {MAX_ITER} iterations; last residual {res:.3e}"
     )
 
-
-def jacobian_check(
-    sys: discrete.DiscreteSystem,
-    at,
-    cfg: NewtonConfig | None = None,
-) -> float:
-    """Cross-check of the Jacobian that :func:`newton_solve` uses.
-
-    Builds it as :func:`newton_solve` does, entrywise from kernel tables a
-    row block at a time, and column by column from system maps, both at
-    ``cfg.fd_step``, and returns the max absolute entrywise discrepancy.
-    Restricted to small systems (dim <= 60).
-    """
-    cfg = cfg or NewtonConfig()
-    if sys.dim > _CHECK_DIM_CAP:
-        raise ValueError(
-            f"jacobian_check is limited to dim <= {_CHECK_DIM_CAP}, got {sys.dim}"
-        )
-    at = np.asarray(at, dtype=float)
-    work = _Workspace(sys)
-    base = work.map(at)
-    entrywise = work.jacobian(at, cfg.fd_step, base)
-    columns = _column_jacobian(sys, at, cfg.fd_step, base)
-    return float(np.max(np.abs(entrywise - columns)))

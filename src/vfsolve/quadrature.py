@@ -84,7 +84,6 @@ class QuadScheme:
     nodes: np.ndarray = field(repr=False)
     global_weights: np.ndarray = field(repr=False)
     volterra_weights: np.ndarray = field(repr=False)
-    midpoint_rows: str | None = None
 
     @property
     def dim(self) -> int:
@@ -126,7 +125,7 @@ def build_scheme(grid: Grid, rule: str, midpoint_rows: str = "half_cell") -> Qua
         if half_cell:
             np.fill_diagonal(vw, h / 2.0)
         order = 2 if half_cell else 1
-        return QuadScheme("midpoint", order, grid, nodes, gw, vw, midpoint_rows)
+        return QuadScheme("midpoint", order, grid, nodes, gw, vw)
 
     n = grid.n_cells + 1  # closed rules include both endpoints
     nodes = grid.a + np.arange(n) * h
@@ -136,7 +135,7 @@ def build_scheme(grid: Grid, rule: str, midpoint_rows: str = "half_cell") -> Qua
         vw = np.zeros((n, n))
         for i in range(1, n):
             vw[i, : i + 1] = _trapezoid_row(i, h)
-        return QuadScheme("trapezoid", 2, grid, nodes, gw, vw, None)
+        return QuadScheme("trapezoid", 2, grid, nodes, gw, vw)
 
     # simpson
     if grid.n_cells % 2 != 0:
@@ -151,4 +150,4 @@ def build_scheme(grid: Grid, rule: str, midpoint_rows: str = "half_cell") -> Qua
     for i in range(3, n, 2):  # row i - 3 (even) plus the 3/8 rule on the last three cells
         vw[i] = vw[i - 3]
         vw[i, i - 3 : i + 1] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
-    return QuadScheme("simpson", 3, grid, nodes, gw, vw, None)  # row 1: trapezoid
+    return QuadScheme("simpson", 3, grid, nodes, gw, vw)  # row 1: trapezoid

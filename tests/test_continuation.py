@@ -4,13 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from vfsolve.continuation import (
-    ContinuationConfig,
-    SolverError,
-    level_solve,
-    p_inverse,
-    repeat_stop,
-)
+from vfsolve import continuation
+from vfsolve.continuation import ContinuationConfig, SolverError, p_inverse, repeat_stop
 from vfsolve.discrete import build_system, fred, norm
 from vfsolve.hybrid import derive_params, inner_bound
 from vfsolve.problem import benchmark_problem
@@ -21,6 +16,14 @@ def _params(L, N, n0):
     """SolverParams whose inner bound is the one of N levels of n0 steps on
     an L-Lipschitz map; M, g_norm and eps do not enter it."""
     return derive_params(1.0, L, 1.0, 1e-3, N=N, n0=n0)
+
+
+def _level_solve(F, level, target, cfg):
+    """One level's n0 steps from ``target``: the loop of level 1, or the
+    iterate of a level >= 2's repeat-stop loop."""
+    if level == 1:
+        return continuation._level1(F, target, cfg)
+    return continuation._level(F, level, target, cfg)[0]
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +53,7 @@ def test_config_validation():
 def test_zero_operator_returns_target():
     cfg = ContinuationConfig(1, 7)
     target = np.array([1.0, -2.0, 3.0])
-    out = level_solve(lambda v: np.zeros_like(v), 1, target, cfg)
+    out = _level_solve(lambda v: np.zeros_like(v), 1, target, cfg)
     assert np.array_equal(out, target)
     assert cfg.op_counter == 7  # F evaluated once per step even when trivial
 
@@ -58,7 +61,7 @@ def test_zero_operator_returns_target():
 def test_zero_operator_any_level():
     cfg = ContinuationConfig(3, 4)
     target = np.array([2.0, 5.0])
-    out = level_solve(lambda v: np.zeros_like(v), 3, target, cfg)
+    out = _level_solve(lambda v: np.zeros_like(v), 3, target, cfg)
     assert np.array_equal(out, target)
     assert np.array_equal(p_inverse(lambda v: np.zeros_like(v), target, cfg), target)
 
@@ -84,23 +87,15 @@ def test_linear_system_against_dense_solve():
         assert np.max(np.abs(out - direct)) <= 1e-8
 
 
-def test_level_bounds_checked():
-    cfg = ContinuationConfig(2, 3)
-    with pytest.raises(ValueError, match="level must be in"):
-        level_solve(lambda v: v, 3, np.zeros(2), cfg)
-    with pytest.raises(ValueError, match="level must be in"):
-        level_solve(lambda v: v, 0, np.zeros(2), cfg)
-
-
 def test_nonfinite_iterate_raises():
     cfg = ContinuationConfig(1, 10)
     blow_up = lambda v: np.full_like(v, np.inf)
     with pytest.raises(SolverError, match="non-finite iterate"):
-        level_solve(blow_up, 1, np.array([1.0]), cfg)
+        _level_solve(blow_up, 1, np.array([1.0]), cfg)
 
 
 def _plain_level(F, level, y, N, n0, on_step=None):
-    """level_solve written out plainly; on_step(level, k, w) sees each iterate."""
+    """_level_solve written out plainly; on_step(level, k, w) sees each iterate."""
     w = y
     for k in range(n0):
         u = w
@@ -125,7 +120,7 @@ def test_steps_never_write_into_arrays_they_do_not_own():
                 seen.append((v, v.copy()))
                 return F(v)
 
-            got = level_solve(watched, level, target, cfg)
+            got = _level_solve(watched, level, target, cfg)
             want = _plain_level(F, level, target, 2, 5)
             assert got.tobytes() == want.tobytes()
             assert len(seen) == cfg.op_counter == maps[level - 1]
@@ -153,7 +148,7 @@ def _steps(hi, mid, lo):
 
 
 # name -> (F, target, n0, first repeat of the plain loop at levels 2 and 3,
-# maps of level_solve at levels 2 and 3 and of p_inverse, all with N = 3);
+# maps of _level_solve at levels 2 and 3 and of p_inverse, all with N = 3);
 # without a stop the maps would be n0*(n0+1), n0*(n0+1)^2 and (n0+1)^3 - 1.
 # A level that stops hands back the lower inverse of the iterate it returns,
 # which one of its steps computed, so the chain above it, or p_inverse, does
@@ -183,7 +178,7 @@ def test_level_stop_is_bit_identical_to_the_plain_loop(name):
     got = []
     for level in (2, 3):
         cfg = ContinuationConfig(3, n0)
-        out = level_solve(F, level, y, cfg)
+        out = _level_solve(F, level, y, cfg)
         assert out.tobytes() == _plain_level(F, level, y, 3, n0).tobytes()
         assert not np.shares_memory(out, y)
         got.append(cfg.op_counter)
@@ -201,7 +196,7 @@ def test_level_one_is_bit_identical_to_the_plain_loop(name):
     F, y, n0, _, _ = LEVEL_CASES[name]
     y = np.array(y)
     cfg = ContinuationConfig(3, n0)
-    out = level_solve(F, 1, y, cfg)
+    out = _level_solve(F, 1, y, cfg)
     assert out.tobytes() == _plain_level(F, 1, y, 3, n0).tobytes()
     assert not np.shares_memory(out, y)
     assert cfg.op_counter == n0
@@ -212,7 +207,7 @@ def test_level_one_never_returns_its_target(n0):
     # maps that hand back their argument, or an array they keep, at every step
     y, kept = np.array([0.5, -1.0]), np.array([0.0, 0.0])
     for F in (lambda v: v, lambda v: kept, lambda v: np.zeros_like(v)):
-        out = level_solve(F, 1, y, ContinuationConfig(1, n0))
+        out = _level_solve(F, 1, y, ContinuationConfig(1, n0))
         assert not np.shares_memory(out, y)
         assert not np.shares_memory(out, kept)
         assert out.tobytes() == _plain_level(F, 1, y, 1, n0).tobytes()
@@ -229,7 +224,7 @@ def test_nonfinite_level_one_step_counts_the_maps_made(step):
 
     y = np.array([1.0, 2.0])
     with pytest.raises(SolverError) as info:
-        level_solve(F, 1, y, cfg)
+        _level_solve(F, 1, y, cfg)
     assert str(info.value) == (
         f"non-finite iterate at level 1, step {step}; "
         "the Lipschitz/monotonicity assumptions are likely violated"
@@ -250,7 +245,7 @@ def test_nonfinite_level_iterate_raises_before_any_repeat():
             return F(v)
 
         with pytest.raises(SolverError) as info:
-            level_solve(watched, level, np.array([1.0]), cfg)
+            _level_solve(watched, level, np.array([1.0]), cfg)
         assert str(info.value) == (
             "non-finite iterate at level 2, step 1; "
             "the Lipschitz/monotonicity assumptions are likely violated"

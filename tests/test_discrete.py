@@ -14,12 +14,6 @@ from vfsolve.problem import benchmark_problem, from_expressions
 from vfsolve.quadrature import build_scheme, make_grid
 
 
-@pytest.fixture(scope="module")
-def bench():
-    scheme = build_scheme(make_grid(0.0, 1.0, 50), "midpoint")
-    return build_system(benchmark_problem(), scheme)
-
-
 def _system(k1="0", k2="0", g="t", n=10, rule="midpoint", **kw):
     p = from_expressions(0.0, 1.0, k1_src=k1, k2_src=k2, g_src=g, M=1.0, L=1.0, **kw)
     return build_system(p, build_scheme(make_grid(0.0, 1.0, n), rule))
@@ -32,7 +26,7 @@ def test_g_vec_sampled_at_nodes(bench):
 
 def test_phi_at_zero_matches_analytic_cubic(bench):
     # k1(t, s, 0) = 5ts, so phi_i(0) ~ 5 t_i * t_i^2/2 = 2.5 t_i^3 up to O(h^2)
-    h = bench.grid.h
+    h = bench.scheme.grid.h
     got = phi(bench, np.zeros(50))
     want = 2.5 * bench.scheme.nodes**3
     assert np.max(np.abs(got - want)) < 5 * h**2
@@ -54,7 +48,7 @@ def test_fred_at_zero_is_zero_for_linear_kernel(bench):
 
 def test_fred_at_ones_matches_analytic(bench):
     # k2(t, s, 1) = (11/2) t^2 s^2 integrates to 11 t^2 / 6 over [0, 1]
-    h = bench.grid.h
+    h = bench.scheme.grid.h
     got = fred(bench, np.ones(50))
     want = 11.0 * bench.scheme.nodes**2 / 6.0
     assert np.max(np.abs(got - want)) < 5 * h**2

@@ -36,12 +36,6 @@ def _coeff(M, k):
     return M**k / math.sqrt(math.factorial(k - 1))
 
 
-@pytest.fixture(scope="module")
-def bench():
-    scheme = build_scheme(make_grid(0.0, 1.0, 50), "midpoint")
-    return build_system(benchmark_problem(), scheme)
-
-
 # ---------------------------------------------------------------------------
 # parameter derivation
 
@@ -246,7 +240,7 @@ def test_error_budget_enforces_op_bound():
 def test_shift_parts_benchmark(bench):
     phi0, f0, g1 = bench.shift
     assert np.all(f0 == 0.0)  # Fredholm kernel is linear in x
-    assert np.max(np.abs(phi0 - 2.5 * bench.scheme.nodes**3)) < 5 * bench.grid.h**2
+    assert np.max(np.abs(phi0 - 2.5 * bench.scheme.nodes**3)) < 5 * bench.scheme.grid.h**2
     assert np.allclose(g1, bench.g_vec - phi0)
     assert norm(bench, g1) == pytest.approx(G1_NORM, rel=1e-12)
 
