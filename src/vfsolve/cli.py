@@ -327,6 +327,8 @@ def cmd_solve(config_path: str, out: str | None = None, method: str | None = Non
         if method is not None:
             rc.method = method
         _check_writable(rc.out_path)
+        if rc.method == "newton":  # nodes: one per cell, or both ends for a closed rule
+            _check_dim(rc.cells + (rc.rule != "midpoint"))
         sys_obj = _system(rc)
         violations = _audit_failures(rc, sys_obj)
         for msg in violations:

@@ -9,19 +9,18 @@ P_k(x) = x + k*eps0*F(x) and P_0 = I, so that P = P_N, level k solves
 by n0 fixed-point steps from u = y, each a contraction by q = L*eps0 < 1, and
 then P_k^{-1}(y) = P_{k-1}^{-1}(u).  Every step re-solves all lower levels
 from scratch, so with n0 steps per level the paper counts (n0+1)^N - 1
-evaluations of F for one :func:`p_inverse`.  Each level >= 2 runs its steps
-in :func:`repeat_stop`, which stops at the first bitwise repeat of an
-iterate and returns the bits the full n0-step loop ends on, having
-evaluated F fewer times.  One of its steps has already inverted the lower
-levels at that iterate, so the level hands that inverse back as well, and
-:func:`p_inverse`, or the chain of the level above, does not solve the lower
-levels again.  Level 1 runs in a plain loop of its own: its steps are single
-maps, whose iterates do not repeat on the benchmark, so it keys nothing,
-keeps no chain and no copy of its target, and adds its n0 maps to the tally
-once.  Almost every map a solve makes is a level-1 step, so this loop sets
-the cost per map.  The outer loop of :func:`vfsolve.hybrid.solve` runs in
-:func:`repeat_stop` too, and the solve reports the paper's count in closed
-form.
+evaluations of F for one :func:`p_inverse`.  Every loop returns its last
+iterate and the inverse at it: each level >= 2 runs its steps in
+:func:`repeat_stop`, which returns u and P_(k-1)^(-1)(u) = P_k^(-1)(y), so
+no caller solves the lower levels again.  It stops at the first bitwise
+repeat of an iterate, with the bits the full n0-step loop ends on and the
+inverse one of its steps made, having evaluated F fewer times.  Level 1
+runs in a plain loop of its own: its steps are single maps, whose iterates
+do not repeat on the benchmark, so it keys nothing, keeps no chain and no
+copy of its target, and adds its n0 maps to the tally once.  Almost every
+map a solve makes is a level-1 step, so this loop sets the cost per map.
+The outer loop of :func:`vfsolve.hybrid.solve` runs in :func:`repeat_stop`
+too, and the solve reports the paper's count in closed form.
 
 ``F`` is any callable mapping a 1-d ndarray to one of the same shape;
 ``cfg.op_counter`` tallies its evaluations (where F itself raises, not those
@@ -105,9 +104,8 @@ def _level1(F, target: np.ndarray, cfg: ContinuationConfig) -> np.ndarray:
 
 def _level(F, level: int, target: np.ndarray, cfg: ContinuationConfig) -> tuple:
     """n0 steps w <- -eps0*F(P_(level-1)^(-1)(w)) + target at a level >= 2,
-    from w = target, by :func:`repeat_stop`.  Returns (w, v) with
-    v = P_(level-1)^(-1)(w) when a step already computed it, that is when
-    the loop stopped at a repeat, and v = None otherwise."""
+    from w = target, by :func:`repeat_stop`.  Returns the last iterate w
+    and the inverse at it, P_(level-1)^(-1)(w) = P_level^(-1)(target)."""
     scale = -(1.0 / cfg.N)
 
     def step(v, t):
@@ -122,30 +120,25 @@ def _level(F, level: int, target: np.ndarray, cfg: ContinuationConfig) -> tuple:
 
 
 def _inverse(F, level: int, y: np.ndarray, cfg: ContinuationConfig) -> np.ndarray:
-    """P_level^(-1)(y) for level >= 1: levels ``level`` … 2 in turn, each on
-    the result of the one above, until a level hands back the lower inverse
-    it computed; otherwise level 1 last."""
-    for lev in range(level, 1, -1):
-        y, below = _level(F, lev, y, cfg)
-        if below is not None:
-            return below
-    return _level1(F, y, cfg)
+    """P_level^(-1)(y) for level >= 1: level 1's loop, or the inverse a
+    level >= 2 returns with its last iterate."""
+    return _level1(F, y, cfg) if level == 1 else _level(F, level, y, cfg)[1]
 
 
 def p_inverse(F, z, cfg: ContinuationConfig):
     """Approximate solution xi of xi + F(xi) = z.
 
-    Solves the top level for y, then maps y down through the remaining
-    N-1 inversions, skipping those a level's stop has already made.  The
-    defect ||xi + F(xi) - z|| obeys :func:`vfsolve.hybrid.inner_bound`.
+    The inverse the top level returns with its last iterate, as each
+    level >= 2 gets it from the level below.  The defect
+    ||xi + F(xi) - z|| obeys :func:`vfsolve.hybrid.inner_bound`.
     """
     return _inverse(F, cfg.N, np.asarray(z, dtype=float), cfg)
 
 
 def repeat_stop(step, inverse, x: np.ndarray, n: int) -> tuple:
     """n steps x_t = step(inverse(x_(t-1)), t) from x_0 = x, stopped at the
-    first bitwise repeat: returns (x_n, inverse(x_n)) if an iterate repeats,
-    else (x_n, None).
+    first bitwise repeat: returns the last iterate and the inverse at it,
+    (x_n, inverse(x_n)), on every run.
 
     The repeat rule of the outer loop of :func:`vfsolve.hybrid.solve` and of
     every continuation level >= 2.  Each x_t is kept by its bytes, with the
@@ -153,7 +146,8 @@ def repeat_stop(step, inverse, x: np.ndarray, n: int) -> tuple:
     when x_t is bit for bit an earlier x_i the iterates cycle with period
     t - i from step i on, and the n-step loop ends on x_j with
     j = i + (n - i) mod (t - i): the loop returns x_j and its inverse, both
-    in hand.  Only identical bits count (-0.0 and 0.0 differ).  A repeat is
+    in hand.  Without a repeat the loop makes inverse(x_n) after its last
+    step.  Only identical bits count (-0.0 and 0.0 differ).  A repeat is
     taken after ``step`` returns, so each step makes its own finiteness
     check and raises its own error, and no skipped step could raise: it
     would repeat numpy calls on bits already seen.  This assumes ``step``
@@ -170,5 +164,5 @@ def repeat_stop(step, inverse, x: np.ndarray, n: int) -> tuple:
         if i < t:
             j = i + (n - i) % (t - i)
             return xs[j], inverses[j]
-    return x, None
+    return x, inverse(x)
 

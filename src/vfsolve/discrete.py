@@ -191,6 +191,8 @@ def build_system(problem: "Problem", scheme: "QuadScheme") -> DiscreteSystem:
     check the kernels' separable forms."""
     nodes = scheme.nodes
     g_vec = np.asarray(problem.g(nodes), dtype=float)
+    if np.shares_memory(g_vec, nodes):  # g = t, say, hands its argument back
+        g_vec = g_vec.copy()
     if g_vec.shape != nodes.shape:
         raise ValueError(
             f"g returned shape {g_vec.shape} for {nodes.shape} nodes"

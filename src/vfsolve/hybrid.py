@@ -15,11 +15,12 @@ after n0 = m*d + h0 steps is at most (C1 + C2)*beta^d (all constants
 below).  The iteration makes (n0+1)^(N+1) - 1 kernel maps, the operation
 count; the budget caps it at (n0+1)^(N+1).
 
-The outer iteration and each continuation level >= 2 inside Pinv stop at
-their first bitwise repeat, with the bits of the full loop
-(:func:`vfsolve.continuation.repeat_stop` states the rule), having made
-fewer maps (``maps_evaluated``).  Pinv's map F1 is built once per solve
-(:func:`vfsolve.discrete.shifted_fred`).
+The outer iteration and each continuation level >= 2 inside Pinv return
+their last iterate and the inverse at it, so the solve's xi is Pinv of the
+last outer iterate.  Each stops at its first bitwise repeat, with the bits
+of the full loop (:func:`vfsolve.continuation.repeat_stop` states the
+rule), having made fewer maps (``maps_evaluated``).  Pinv's map F1 is
+built once per solve (:func:`vfsolve.discrete.shifted_fred`).
 
 :func:`derive_params` turns declared constants (M, L, ||g1||, eps) into the
 counts N, m, n_prime and n0; any count can be pinned instead to reproduce a
@@ -299,11 +300,10 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
     """Run the full hybrid iteration and package the result.
 
     The outer loop runs in :func:`vfsolve.continuation.repeat_stop`, as
-    each level >= 2 inside Pinv does, and takes the lower inverse a stopped
-    level hands back instead of solving it again.  A step's finiteness check
-    and norm update come before its repeat is taken, so the inner bound is
-    unchanged.  F1 is :func:`vfsolve.discrete.shifted_fred`, built here
-    once.
+    each level >= 2 inside Pinv does, and xi is the inverse it returns with
+    its last iterate.  A step's finiteness check and norm update come before
+    its repeat is taken, so the inner bound is unchanged.  F1 is
+    :func:`vfsolve.discrete.shifted_fred`, built here once.
 
     ``op_count`` is the paper's count (n0+1)^(N+1) - 1 of the iteration's
     Phi/F maps, whose result is returned whether or not a loop stopped
@@ -355,9 +355,7 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
         z_norm = max(z_norm, discrete.norm(sys, z))
         return z
 
-    z, xi = continuation.repeat_stop(step, p_inverse, g1.copy(), params.n0)
-    if xi is None:
-        xi = p_inverse(z)
+    _, xi = continuation.repeat_stop(step, p_inverse, g1.copy(), params.n0)
 
     budget = ErrorBudget(
         iteration_bound=iteration_bound(params),

@@ -103,14 +103,14 @@ def _csv_sha256(sys_obj, xi):
 def test_solution_csv_bytes_are_pinned(table_run):
     """The reference run and configs/default.ini write the seed's CSV bytes."""
     sys_obj, sol, _ = table_run
-    assert sol.budget.op_count == 175_615
+    assert (sol.budget.op_count, sol.budget.maps_evaluated) == (175_615, 61_683)
     assert _csv_sha256(sys_obj, sol.xi) == (
         "35f1d52378185d9eab6510b7f185c0ab7fcca7cc53792b98453f6071e7c5fa70"
     )
     rc = cli.parse_config(str(Path(__file__).resolve().parents[1] / "configs" / "default.ini"))
     sys_obj = cli._system(rc)
     sol = solve(sys_obj, prepare(sys_obj, rc.eps, **rc.overrides))
-    assert sol.budget.op_count == 63_999
+    assert (sol.budget.op_count, sol.budget.maps_evaluated) == (63_999, 41_090)
     assert _csv_sha256(sys_obj, sol.xi) == (
         "f178bf07701b985a7e7b23065bb5eb4dba7014e39fef34c753d1d559cdaed70d"
     )
@@ -143,10 +143,12 @@ seed = 12345
 """
 
 
-def test_expression_solution_csv_bytes_are_pinned(tmp_path):
+def test_expression_solution_csv_bytes_are_pinned(tmp_path, capsys):
     config, out = tmp_path / "expression.ini", tmp_path / "solution.csv"
     config.write_text(EXPRESSION_BENCHMARK)
     assert cli.main(["solve", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    assert "op_count=63999" in printed and "maps_evaluated=39489" in printed
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "27f1454b2a9911ca230f3e40cf97543789d3ccffd0d8ef702dff0c6659c837c2"
     )

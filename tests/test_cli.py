@@ -289,6 +289,36 @@ def test_audited_solve_builds_the_system_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+# (rule, the first refused cell count, the largest one allowed): dim is
+# cells for midpoint and cells + 1 for the closed rules; simpson needs even cells
+@pytest.mark.parametrize(
+    "rule, refused, allowed", [("midpoint", 1001, 1000), ("trapezoid", 1000, 999), ("simpson", 1000, 998)]
+)
+@pytest.mark.parametrize("in_config", [True, False])
+def test_oversized_newton_solve_is_refused_before_the_build(
+    tmp_path, capsys, monkeypatch, rule, refused, allowed, in_config
+):
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized Newton run was built or audited")
+
+    def solve(cells):
+        text = (
+            f"[problem]\nbuiltin = benchmark\n[quadrature]\nrule = {rule}\n"
+            f"cells = {cells}\n[solver]\naudit = true\n"
+        )
+        path = write_ini(tmp_path, text + "method = newton\n" * in_config)
+        return cmd_solve(path, out=str(tmp_path / "never.csv"), method=None if in_config else "newton")
+
+    monkeypatch.setattr(cli, "build_system", never)
+    monkeypatch.setattr(cli, "check_assumptions", never)
+    assert solve(refused) == EXIT_SOLVER
+    assert capsys.readouterr().err == (
+        "solver failure: system dimension 1001 exceeds the dense-Jacobian cap 1000\n"
+    )
+    with pytest.raises(AssertionError, match="^an oversized"):
+        solve(allowed)  # goes on to the build
+
+
 def test_solver_failure_exits_2(tmp_path, capsys):
     # L = 2 with N pinned at 1 leaves q >= 1: continuation cannot contract
     path = write_ini(

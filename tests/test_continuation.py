@@ -110,9 +110,10 @@ def _plain_level(F, level, y, N, n0, on_step=None):
 def test_steps_never_write_into_arrays_they_do_not_own():
     target = np.array([1.0, -2.0, 0.5])
     kept = np.array([0.25, 0.5, -1.0])
-    # maps at levels 1 and 2: the constant map's level 2 repeats its first
-    # iterate at step 2, so it stops after two steps of 5 + 1 maps
-    for F, maps in ((lambda v: v, (5, 30)), (lambda v: kept, (5, 12))):
+    # maps at levels 1 and 2: the identity's level 2 makes five steps of
+    # 5 + 1 maps and then level 1's 5 at its last iterate; the constant map's
+    # level 2 repeats its first iterate at step 2, so it stops after two steps
+    for F, maps in ((lambda v: v, (5, 35)), (lambda v: kept, (5, 12))):
         for level in (1, 2):
             cfg, seen = ContinuationConfig(2, 5), []
 
@@ -149,24 +150,25 @@ def _steps(hi, mid, lo):
 
 # name -> (F, target, n0, first repeat of the plain loop at levels 2 and 3,
 # maps of _level_solve at levels 2 and 3 and of p_inverse, all with N = 3);
-# without a stop the maps would be n0*(n0+1), n0*(n0+1)^2 and (n0+1)^3 - 1.
-# A level that stops hands back the lower inverse of the iterate it returns,
-# which one of its steps computed, so the chain above it, or p_inverse, does
-# not solve the lower levels again: p_inverse then makes only the top
-# level's maps, and a level 3 whose chain's level 2 stops makes fewer maps
-# (without that reuse: 36, 105, 96, 48, 45 and 180 at level 3, and 53,
-# 125, 127, 63, 71 and 215 for p_inverse).  With "period 1", level 2 stops
-# at step 2, having made 2 * (5 + 1) = 12 maps, and hands back the level-1
-# solve of w_1 its step 2 made; each level-3 step is then one level-2 solve
-# and one map, 2 * (12 + 1) = 26, against 2 * (12 + 5 + 1) = 36
+# without a stop the maps would be (n0+1)^2 - 1, (n0+1)^3 - 1 and
+# (n0+1)^3 - 1.  Every level >= 2 returns its last iterate and the lower
+# inverse at it, which one of its steps computed if the level stopped at a
+# repeat, so the chain above it, or p_inverse, never solves the lower levels
+# again: level 3 makes p_inverse's maps, and fewer when its chain's level 2
+# stops (if the lower levels were solved again after a stop, p_inverse would
+# make 53, 125, 127, 63, 71 and 215 in the six cases where a level repeats).
+# With "period 1", level 2 stops at step 2, having made 2 * (5 + 1) = 12
+# maps, and returns the level-1 solve of w_1 its step 2 made; each level-3
+# step is then one level-2 solve and one map, 2 * (12 + 1) = 26, against
+# 2 * (12 + 5 + 1) = 36
 LEVEL_CASES = {
-    "no repeat": (lambda v: 0.5 * v + 0.25, [1.0, -2.0], 4, [None, None], [20, 100, 124]),
+    "no repeat": (lambda v: 0.5 * v + 0.25, [1.0, -2.0], 4, [None, None], [24, 124, 124]),
     "period 1": (lambda v: np.full_like(v, 0.75), [1.0, -2.0], 5, [(1, 1), (1, 1)], [12, 26, 26]),
     "period 3": (_steps(-3.0, 3.0, -6.0), [0.0], 6, [(1, 3), (1, 3)], [28, 81, 81]),
     "period 2 from step 2": (_steps(-3.0, 6.0, -6.0), [-1.0], 7, [(2, 2), (2, 1)], [32, 75, 75]),
     "back to the target": (_steps(0.0, 3.0, -6.0), [0.5], 7, [(0, 3), (0, 2)], [24, 34, 34]),
     "ends on the target": (_steps(0.0, 3.0, -6.0), [0.5], 8, [(0, 2), (0, 2)], [18, 29, 29]),
-    "repeat at step n0": (lambda v: np.floor(-v), [3.0], 5, [(4, 1), None], [30, 175, 210]),
+    "repeat at step n0": (lambda v: np.floor(-v), [3.0], 5, [(4, 1), None], [30, 210, 210]),
 }
 
 
@@ -298,12 +300,10 @@ def test_repeat_stop_returns_the_plain_loops_pair(lead_in, period):
         got = repeat_stop(step, inverse, np.array([0.0]), n)
         steps = min(n, lead_in + period)
         assert calls["step"] == list(range(1, steps + 1))
-        assert calls["inverse"] == steps
+        # without a repeat within n steps the loop makes inverse(x_n) itself
+        assert calls["inverse"] == steps + (n < lead_in + period)
         assert got[0].tobytes() == want[0].tobytes()
-        if n < lead_in + period:  # nothing repeats within n steps
-            assert got[1] is None
-        else:
-            assert got[1].tobytes() == want[1].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_repeat_stop_passes_a_steps_error_on():

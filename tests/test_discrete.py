@@ -24,6 +24,18 @@ def test_g_vec_sampled_at_nodes(bench):
     assert np.allclose(bench.g_vec, benchmark_problem().g(bench.scheme.nodes))
 
 
+def test_g_vec_shares_no_memory_with_the_nodes():
+    # g = t hands its argument back: the system keeps a copy, so a write
+    # into g_vec or the nodes leaves the other as it was
+    p = from_expressions(0, 4, "0", "-(1/10)*t*s*ln(6 - x)", "t", 0.0, 1.2)
+    scheme = build_scheme(make_grid(0, 4, 8), "midpoint")
+    sys = build_system(p, scheme)
+    assert not np.shares_memory(sys.g_vec, scheme.nodes)
+    assert sys.g_vec.tobytes() == scheme.nodes.tobytes()
+    sys.g_vec[0] = -1.0
+    assert scheme.nodes[0] == 0.25
+
+
 def test_phi_at_zero_matches_analytic_cubic(bench):
     # k1(t, s, 0) = 5ts, so phi_i(0) ~ 5 t_i * t_i^2/2 = 2.5 t_i^3 up to O(h^2)
     h = bench.scheme.grid.h
