@@ -69,7 +69,9 @@ get x with the same leading axes, and a result of lower rank is broadcast
 to the stack.  ``tables @ global_weights`` and :func:`_volterra_sum` then
 give fred's and phi's rows, unchecked, each slice bit-identical to the map
 of its own state.  :func:`vfsolve.problem.check_assumptions` evaluates its
-pairs this way; phi and fred themselves take one state and check it.
+pairs this way, a form writing the stacks into a buffer the audit keeps
+(:func:`_table`'s ``out=``) and the k1 stack weighted in place; phi and
+fred themselves take one state and check it.
 """
 
 from __future__ import annotations
@@ -97,10 +99,13 @@ __all__ = [
     "residual",
 ]
 
-# kernel-table cells per block, of the audit's stacked pairs (4 pairs at dim
-# 50) and of the Newton oracle's rows: smaller blocks pay more per-call
-# overhead, larger ones more memory and more page faults
-_BLOCK_CELLS = 20_000
+# kernel-table cells per block, of the audit's stacked pairs (10 pairs at dim
+# 50, one from dim 159) and of the Newton oracle's rows (the whole table up
+# to dim 223), each in buffers kept for the whole audit or solve: smaller
+# blocks pay more per-call overhead, larger ones more memory.  The dim-50
+# audit took 38 ms at 20,000 cells, 28 ms at 50,000 and 26 ms at 100,000;
+# the Newton study at 25 to 400 cells the same at 20,000 and 50,000
+_BLOCK_CELLS = 50_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,27 +328,40 @@ def k2_table(sys: DiscreteSystem, v: np.ndarray) -> np.ndarray:
     return _table(sys, "k2", v)
 
 
-def _volterra_sum(sys: DiscreteSystem, vals: np.ndarray, block=None) -> np.ndarray:
+def _volterra_sum(
+    sys: DiscreteSystem, vals: np.ndarray, block=None, clamped=None
+) -> np.ndarray:
     """phi's weighted row sums of a k1 table, or of a stack of them, unchecked.
 
     ``block``, a buffer of whole node rows, takes the weighted cells of a
     (dim, dim) table one row block at a time instead of a fresh table; each
-    row sums to the bits of the whole table's.
+    row sums to the bits of the whole table's.  ``clamped``, the complement
+    of ``sys.volterra_mask``, has ``vals``, a table or stack the caller
+    owns, weighted in place instead: the same cells.  numpy warns as it
+    does on the whole table, once.
     """
     mask, weights = sys.volterra_mask, sys.scheme.volterra_weights
-    if block is None:
+    if block is not None:
+        out = np.empty(sys.dim)
+        # overflow and invalid values leave their row non-finite: a finite
+        # result has nothing to warn of, any other is summed again whole
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, sys.dim, len(block)):
+                rows = slice(lo, lo + len(block))
+                cells = block[: len(mask[rows])]
+                np.copyto(cells, 0.0)
+                np.copyto(cells, vals[rows], where=mask[rows])
+                np.multiply(weights[rows], cells, out=cells)
+                cells.sum(axis=-1, out=out[rows])
+        if np.isfinite(out).all():
+            return out
+    if clamped is None:
         cells = np.where(mask, vals, 0.0)
-        np.multiply(weights, cells, out=cells)
-        return cells.sum(axis=-1)
-    out = np.empty(sys.dim)
-    for lo in range(0, sys.dim, len(block)):
-        rows = slice(lo, lo + len(block))
-        cells = block[: len(mask[rows])]
-        np.copyto(cells, 0.0)
-        np.copyto(cells, vals[rows], where=mask[rows])
-        np.multiply(weights[rows], cells, out=cells)
-        cells.sum(axis=-1, out=out[rows])
-    return out
+    else:
+        cells = vals
+        np.copyto(cells, 0.0, where=clamped)
+    np.multiply(weights, cells, out=cells)
+    return cells.sum(axis=-1)
 
 
 def _checked_map(
@@ -372,7 +390,8 @@ def phi(sys: DiscreteSystem, xi, *, table=None, block=None) -> np.ndarray:
 
     ``table``, a (dim, dim) buffer, receives :func:`k1_table` at ``xi``;
     ``block``, a buffer of whole node rows, holds the weighted cells one row
-    block at a time.  The result has the same bits with or without them.
+    block at a time.  The result, and numpy's warnings, are the same with or
+    without them.
     """
     return _checked_map(sys, "k1", _as_state(sys, xi), table, block)
 

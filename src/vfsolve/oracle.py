@@ -12,7 +12,8 @@ Volterra and global weights, and mask drops the clamped (s_j > t_i) cells.
 
 A solve allocates its tables once (:class:`_Workspace`): J, the k2 table
 at the iterate, one block of whole rows of ``discrete._BLOCK_CELLS``
-cells, and J's finiteness mask.  An iteration maps through the checked :func:`vfsolve.discrete.phi`
+cells, the global weights tiled to a block, and J's finiteness mask.  An
+iteration maps through the checked :func:`vfsolve.discrete.phi`
 and :func:`vfsolve.discrete.fred`, which leave the kernel tables at the
 iterate in J's buffer and the k2 buffer, phi summing in the block a row
 block at a time; so the map's errors and warnings are theirs.  J is then
@@ -80,8 +81,10 @@ class _Workspace:
     ``jac`` holds the k1 table at the iterate from :meth:`map` until
     :meth:`jacobian` turns it into the Jacobian, ``k2`` holds the k2 table
     at the iterate, ``block`` one row block of ``discrete._BLOCK_CELLS``
-    cells (whole rows, at least one), and ``finite`` the Jacobian's
-    finiteness mask.
+    cells (whole rows, at least one), ``weights`` the global weights in
+    every row of a block, and ``finite`` the Jacobian's finiteness mask,
+    which holds a block's clamped cells while the Jacobian is formed.  An
+    iteration allocates only vectors of length dim.
     """
 
     def __init__(self, sys: discrete.DiscreteSystem):
@@ -92,6 +95,8 @@ class _Workspace:
         self.jac = np.empty((dim, dim))
         self.k2 = np.empty((dim, dim))
         self.block = np.empty((rows, dim))
+        # numpy buffers a broadcast operand, 64 KiB a multiply
+        self.weights = np.tile(sys.scheme.global_weights, (rows, 1))
         self.finite = np.empty((dim, dim), dtype=bool)
 
     def map(self, xi: np.ndarray) -> np.ndarray:
@@ -119,15 +124,17 @@ class _Workspace:
                 diag = (bumped - at) / step
                 for rows in self.blocks:
                     part = jac[rows]
-                    bumped_rows = self.block[: rows.stop - rows.start]
+                    height = rows.stop - rows.start
+                    bumped_rows = self.block[:height]
                     k1 = discrete._table(sys, "k1", bumped, rows, bumped_rows)
                     np.subtract(k1, part, out=part)
                     # clamped cells may be non-finite
-                    np.copyto(part, 0.0, where=~sys.volterra_mask[rows])
+                    clamped = np.logical_not(sys.volterra_mask[rows], out=self.finite[rows])
+                    np.copyto(part, 0.0, where=clamped)
                     part *= sys.scheme.volterra_weights[rows]
                     k2 = discrete._table(sys, "k2", bumped, rows, bumped_rows)
                     dk2 = np.subtract(k2, self.k2[rows], out=bumped_rows)
-                    dk2 *= sys.scheme.global_weights
+                    dk2 *= self.weights[:height]
                     part += dk2
                     part /= step
                 jac.flat[:: sys.dim + 1] += diag

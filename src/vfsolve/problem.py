@@ -245,18 +245,23 @@ def _pair_ratios(system, u: np.ndarray, v: np.ndarray) -> tuple | None:
     )
 
 
-def _block_ratios(system, uv: np.ndarray) -> list | None:
+def _block_ratios(system, uv: np.ndarray, tables, clamped) -> list | None:
     """:func:`_pair_ratios` of each pair (u, v) in a (k, 2, dim) block, from
     stacked kernel tables; None where the block must replay pair by pair.
 
-    The sums run along the last axis in :mod:`vfsolve.discrete`'s order, so
-    a block whose values are all finite, with no ||u - v|| = 0, gives the
-    ratios of the pair loop bit for bit.
+    A separable form writes the k2 stack into ``tables``, a (k, 2, dim, dim)
+    buffer, and once it is summed the k1 stack, which is masked and
+    weighted in place (``clamped`` is ``~system.volterra_mask``); a
+    kernel's own tables are summed as they come.  The sums run along the
+    last axis in :mod:`vfsolve.discrete`'s order, so a block whose values
+    are all finite, with no ||u - v|| = 0, gives the ratios of the pair
+    loop bit for bit.
     """
     w = system.scheme.global_weights
     d = uv[:, 0] - uv[:, 1]
-    fr = discrete.k2_table(system, uv) @ w
-    ph = discrete._volterra_sum(system, discrete.k1_table(system, uv))
+    fr = discrete._table(system, "k2", uv, out=tables) @ w
+    vals = discrete._table(system, "k1", uv, out=tables)
+    ph = discrete._volterra_sum(system, vals, clamped=clamped if vals is tables else None)
     # each stage checked before the next, which would only warn about it
     if not all(np.isfinite(a).all() for a in (d, fr, ph)):
         return None
@@ -289,8 +294,11 @@ def check_assumptions(
     ``g_vec``, so a bad forcing term is named by ``build_system``.
 
     The pairs are drawn and evaluated a block at a time: a block's states
-    are stacked, their kernel tables built in one pass (about 20,000 cells,
-    at least one pair), and its ratios reduced together.  A block with a
+    are stacked, their kernel tables built in one pass (about
+    ``discrete._BLOCK_CELLS`` = 50,000 cells, at least one pair), and its
+    ratios reduced together.  A separable form writes the tables into one
+    buffer allocated once per audit, k2's and then k1's, whose weighted
+    cells are formed in place; a kernel's own tables are fresh.  A block with a
     non-finite value, a pair with u = v in norm, or an evaluation that
     raises (a warning raised as an error included) is replayed pair by pair
     through the checked maps, which raise the first error, with its text, or
@@ -311,15 +319,20 @@ def check_assumptions(
         raise ValueError(f"x_box must be positive and finite, got {box}")
 
     rng = np.random.default_rng(seed)
-    block = max(1, discrete._BLOCK_CELLS // (2 * system.dim**2))
+    dim = system.dim
+    block = max(1, discrete._BLOCK_CELLS // (2 * dim**2))
+    # the stacked tables' buffer, kept for the whole audit
+    tables = np.empty((block, 2, dim, dim))
+    clamped = ~system.volterra_mask
     f_ratio = 0.0
     mono = np.inf
     phi_ratio = 0.0
     used = 0
     for start in range(0, pairs, block):
-        uv = rng.uniform(-box, box, (min(block, pairs - start), 2, system.dim))
+        n = min(block, pairs - start)
+        uv = rng.uniform(-box, box, (n, 2, dim))
         try:
-            ratios = _block_ratios(system, uv)
+            ratios = _block_ratios(system, uv, tables[:n], clamped)
         except Exception:  # the pair loop raises it, or gets past it
             ratios = None
         if ratios is None:

@@ -521,9 +521,40 @@ def test_map_block_failures_raise_the_whole_state_errors(monkeypatch, case, rows
     assert (type(info.value), str(info.value)) == (type(whole.value), str(whole.value))
 
 
+PHI_WARNING_CASES = {
+    # rows t > 0.5 sum mixed infinities: numpy warns, and phi names a cell
+    "invalid": lambda: _benchmark_system(10, prob=_mixed_infinities_in_late_rows("k1")),
+    # rows t >= 1.4 of [0, 4] sum finite cells past the largest float: numpy
+    # warns, and phi returns the infinite rows
+    "overflow": lambda: _system("1.7e308", "0", b=4.0),
+}
+
+
+def _phi_outcome(sys_, block, action):
+    """phi's result bytes, or its error, and the warnings it left."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        try:
+            result = discrete.phi(sys_, sys_.g_vec, block=block).tobytes()
+        except Exception as exc:
+            result = type(exc), str(exc)
+    return result, [(w.category, str(w.message)) for w in seen]
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
+@pytest.mark.parametrize("case", sorted(PHI_WARNING_CASES))
+def test_blocked_phi_warns_once_as_the_whole_table(case, action):
+    # 1-row blocks, each of the failing rows its own sum
+    sys_ = PHI_WARNING_CASES[case]()
+    whole = _phi_outcome(sys_, None, action)
+    assert _phi_outcome(sys_, np.empty((1, sys_.dim)), action) == whole
+    assert len(whole[1]) == (action == "always")
+
+
 def test_newton_memory_stays_below_three_tables():
-    # J, the k2 table, one row block and J's bool mask; numpy.linalg.solve's
-    # copy of J is LAPACK's, which tracemalloc does not see
+    # J, the k2 table, one row block, the weights tiled to a block and J's
+    # bool mask; numpy.linalg.solve's copy of J is LAPACK's, which
+    # tracemalloc does not see
     sys_ = _benchmark_system(400)
     assert sys_.k1_split and sys_.k2_split  # the system's own tables, built once
     tracemalloc.start()
@@ -561,7 +592,8 @@ def test_newton_maps_through_phi_and_fred(monkeypatch, cells):
 def test_newton_iterations_allocate_less_than_a_row_block(monkeypatch):
     # the solve's buffers are allocated before its first map; from there to
     # each LU solve, and from that to the next or to the end, tracemalloc's
-    # peak stays below one row block above where the stretch began
+    # peak stays within a dozen state vectors of where the stretch began:
+    # nothing of a row block's size is allocated per block
     sys_ = _benchmark_system(400)
     assert sys_.k1_split and sys_.k2_split  # the system's own tables, built once
     grown, base = [], [None]
@@ -592,7 +624,7 @@ def test_newton_iterations_allocate_less_than_a_row_block(monkeypatch):
         mark()
     finally:
         tracemalloc.stop()
-    assert len(grown) > 2 and max(grown) < discrete._BLOCK_CELLS * 8, grown
+    assert len(grown) > 2 and max(grown) < 12 * sys_.dim * 8, grown
 
 
 def _zero_kernels():

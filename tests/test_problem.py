@@ -1,9 +1,11 @@
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vfsolve import cli
 from vfsolve.discrete import build_system, fred, inner, norm, phi
 from vfsolve.expr import EvalDomainError, ParseError, TokenizeError
 from vfsolve.problem import (
@@ -241,13 +243,34 @@ SCHEMES = [("midpoint", "half_cell"), ("midpoint", "full_cell"), ("trapezoid", "
 @pytest.mark.parametrize("rule, rows", SCHEMES)
 def test_blocked_audit_is_bit_identical_to_the_pair_loop(name, rule, rows):
     problem = AUDITED[name]()
-    # blocks hold 82-100, 3-4 and 1 pair(s) at these sizes: 1001 and 150 pairs
-    # end on a partial block, except at 51 nodes (3 x 50)
-    for cells, pairs in ((10, 1001), (50, 150), (100, 100)):
+    # blocks of discrete._BLOCK_CELLS = 50,000 cells hold 206-250, 9-10 and 1
+    # pair(s) at these sizes (10-11, 50-51 and 200-201 nodes): 1001 and 155
+    # pairs end on a partial block
+    for cells, pairs in ((10, 1001), (50, 155), (200, 100)):
         scheme = build_scheme(make_grid(0.0, 1.0, cells), rule, midpoint_rows=rows)
         seed = cells + pairs
         expected = _pair_loop_audit(problem, scheme, pairs, seed)
         assert _bits(check_assumptions(problem, scheme, pairs, seed=seed)) == _bits(expected)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# the 1,000-pair reports of the audited configs at their seed, 12345: the
+# builtin benchmark and its expression strings give the same bits
+AUDIT_REPORTS = {
+    config: ("0x1.08601a809aa6dp-1", "0x1.74c4ab0d38e8ep-27", "0x1.1a6c4eed232f1p-4", 1000,
+             "0x1.0cd6976440bc6p+3")
+    for config in ("configs/default.ini", "bench/configs/expr_audit.ini")
+}
+
+
+@pytest.mark.parametrize("config", sorted(AUDIT_REPORTS))
+def test_audited_configs_keep_their_reports(config):
+    rc = cli.parse_config(str(ROOT / config))
+    assert rc.audit and rc.seed == DEFAULT_SEED
+    grid = make_grid(rc.problem.a, rc.problem.b, rc.cells)
+    scheme = build_scheme(grid, rc.rule, midpoint_rows=rc.volterra_rows)
+    report = check_assumptions(rc.problem, scheme, pairs=1000, seed=rc.seed)
+    assert _bits(report) == AUDIT_REPORTS[config]
 
 
 def _k2_inf_past(t, s, x):
