@@ -51,10 +51,11 @@ free of t.  :func:`build_system` checks the form against the kernel at dim
 points (t_i, s_i, g_i), with s_i <= t_i for k1: a mismatch beyond 1e-12
 relative is a ValueError, and a form whose check raises, is non-finite or
 is not real is not used.  Each c_r is evaluated on the kernel's own (t, s)
-table, once per system.  :func:`_write_split` writes every table of a form
-from dim evaluations of each e_r, on the row (s_j, xi_j), instead of dim^2
-kernel evaluations; the points (s_j, xi_j) are ones the kernel's own table
-holds in its last row.  A form that repeats the kernel's last
+table, once per system; k1's clamped s table is built for that call and
+not kept.  :func:`_write_split` writes every table of a form from dim
+evaluations of each e_r, on the row (s_j, xi_j), instead of dim^2 kernel
+evaluations; the points (s_j, xi_j) are ones the kernel's own table holds
+in its last row.  A form that repeats the kernel's last
 operations, as the builtin's and :func:`vfsolve.expr.split_terms`'s do,
 gives tables bit-identical to the kernel's in every cell phi, fred and the
 Jacobian use.  Where a c_r or e_r raises, or a row does not broadcast or
@@ -110,14 +111,13 @@ _BLOCK_CELLS = 50_000
 
 @dataclass(frozen=True, eq=False)
 class DiscreteSystem:
-    """One problem discretized by one scheme, with its Volterra argument table."""
+    """One problem discretized by one scheme: g on the nodes and the checked
+    forms.  The Volterra mask, and k1's clamped s table where k1 has no form,
+    are derived at the first map that needs them and kept."""
 
     scheme: "QuadScheme"
     problem: "Problem"
     g_vec: np.ndarray = field(repr=False)
-    # nonzero Volterra weights, and s with the other cells clamped to s_0
-    volterra_mask: np.ndarray = field(repr=False)
-    s_mesh_volterra: np.ndarray = field(repr=False)
     # the kernels' separable forms once checked against them, or None
     k1_terms: tuple | None = field(default=None, repr=False)
     k2_terms: tuple | None = field(default=None, repr=False)
@@ -138,9 +138,21 @@ class DiscreteSystem:
         return parts
 
     @cached_property
+    def volterra_mask(self) -> np.ndarray:
+        """The cells of nonzero Volterra weight, s_j <= t_i, as a bool table."""
+        return self.scheme.volterra_weights != 0.0
+
+    @cached_property
+    def _k1_s(self) -> np.ndarray:
+        """k1's s table for the kernel itself, kept for its next call."""
+        return _clamped_s(self)
+
+    @cached_property
     def k1_split(self) -> tuple | None:
         """k1's form as (c_r on k1's (t, s) table, e_r) pairs, or None."""
-        return _c_tables(self.k1_terms, self.scheme.nodes[:, None], self.s_mesh_volterra)
+        if self.k1_terms is None:
+            return None
+        return _c_tables(self.k1_terms, self.scheme.nodes[:, None], _clamped_s(self))
 
     @cached_property
     def k2_split(self) -> tuple | None:
@@ -181,6 +193,12 @@ def _checked_terms(which: str, kernel, terms, t, s, x) -> tuple | None:
     return terms
 
 
+def _clamped_s(sys: DiscreteSystem) -> np.ndarray:
+    """k1's (dim, dim) s table: the nodes s_j, and s_0 where s_j > t_i."""
+    nodes = sys.scheme.nodes
+    return np.where(sys.volterra_mask, nodes[None, :], nodes[0])
+
+
 def _c_tables(terms, t, s) -> tuple | None:
     """(c_r(t, s) as a (dim, dim) table, e_r) pairs, or None if a c_r raises."""
     if terms is None:
@@ -192,8 +210,7 @@ def _c_tables(terms, t, s) -> tuple | None:
 
 
 def build_system(problem: "Problem", scheme: "QuadScheme") -> DiscreteSystem:
-    """Sample g on the nodes, precompute the Volterra argument table, and
-    check the kernels' separable forms."""
+    """Sample g on the nodes and check the kernels' separable forms."""
     nodes = scheme.nodes
     g_vec = np.asarray(problem.g(nodes), dtype=float)
     if np.shares_memory(g_vec, nodes):  # g = t, say, hands its argument back
@@ -205,15 +222,12 @@ def build_system(problem: "Problem", scheme: "QuadScheme") -> DiscreteSystem:
     if not np.isfinite(g_vec).all():
         bad = int(np.argmax(~np.isfinite(g_vec)))
         raise ValueError(f"g is non-finite at node {bad} (t = {nodes[bad]})")
-    mask = scheme.volterra_weights != 0.0
     # check points (t_i, s_i, g_i): s = the nodes reversed, for k1 no later than t
     s_rev = nodes[::-1]
     return DiscreteSystem(
         scheme=scheme,
         problem=problem,
         g_vec=g_vec,
-        volterra_mask=mask,
-        s_mesh_volterra=np.where(mask, nodes[None, :], nodes[0]),
         k1_terms=_checked_terms(
             "k1", problem.k1, problem.k1_terms, nodes, np.minimum(nodes, s_rev), g_vec
         ),
@@ -238,7 +252,7 @@ def _kernel_table(vals, shape: tuple) -> np.ndarray:
 def _table_shape(sys: DiscreteSystem, v: np.ndarray, rows: slice) -> tuple:
     """(dim, dim) for a state, (P, dim, dim) for a (P, dim) stack of them,
     with only the node rows ``rows`` on the second-to-last axis."""
-    return v.shape[:-1] + sys.volterra_mask[rows].shape
+    return v.shape[:-1] + sys.scheme.volterra_weights[rows].shape
 
 
 def _kernel_call(
@@ -248,7 +262,7 @@ def _kernel_call(
     nodes = sys.scheme.nodes
     if which == "k1":
         x_table = np.where(sys.volterra_mask[rows], v[..., None, :], v[..., :1, None])
-        vals = sys.problem.k1(nodes[rows, None], sys.s_mesh_volterra[rows], x_table)
+        vals = sys.problem.k1(nodes[rows, None], sys._k1_s[rows], x_table)
     else:
         vals = sys.problem.k2(nodes[rows, None], nodes[None, :], v[..., None, :])
     return _kernel_table(vals, _table_shape(sys, v, rows))
@@ -450,13 +464,16 @@ def inner(sys: DiscreteSystem, u, v) -> float:
     a = _as_state(sys, u, "left vector")
     b = _as_state(sys, v, "right vector")
     # w * (a*b) rather than (w*a) * b: keeps <u,v> == <v,u> bit-exact
-    return float(np.sum(sys.scheme.global_weights * (a * b)))
+    # an overflow gives inf, or NaN from inf - inf: callers check the value
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(sys.scheme.global_weights * (a * b)))
 
 
 def norm(sys: DiscreteSystem, u) -> float:
-    """Norm induced by :func:`inner`."""
+    """Norm induced by :func:`inner`; inf where the sum overflows."""
     a = _as_state(sys, u, "vector")
-    return float(np.sqrt(np.sum(sys.scheme.global_weights * a * a)))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(sys.scheme.global_weights * a * a)))
 
 
 def residual(sys: DiscreteSystem, xi) -> float:

@@ -311,7 +311,8 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
     tally of the Phi and F1 maps.  The shift setup and
     final diagnostics are excluded from both.
     Raises ValueError when ``params`` were derived for another system: q,
-    alpha or g_norm differ from L/N, M^m/sqrt((m-1)!) or ||g1||.
+    alpha or g_norm differ from L/N, M^m/sqrt((m-1)!) or ||g1||, and
+    SolverError when an outer iterate, its norm or the residual is not finite.
     """
     if not math.isclose(params.q, sys.problem.L / params.N, rel_tol=1e-12):
         raise ValueError(
@@ -353,6 +354,8 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
         if not np.isfinite(z).all():
             raise SolverError(f"non-finite outer iterate at step {t}")
         z_norm = max(z_norm, discrete.norm(sys, z))
+        if not math.isfinite(z_norm):
+            raise SolverError(f"non-finite outer iterate norm at step {t}")
         return z
 
     _, xi = continuation.repeat_stop(step, p_inverse, g1.copy(), params.n0)
@@ -367,6 +370,9 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
         maps_evaluated=cfg.op_counter,
         op_bound=op_budget(params),
     )
+    res = discrete.residual(sys, xi)
+    if not math.isfinite(res):
+        raise SolverError(f"non-finite residual of the solution: {res}")
     per_node = None
     if sys.problem.exact is not None:
         exact_vec = np.asarray(sys.problem.exact(sys.scheme.nodes), dtype=float)
@@ -375,6 +381,6 @@ def solve(sys: discrete.DiscreteSystem, params: SolverParams) -> Solution:
         xi=xi,
         budget=budget,
         params=params,
-        residual=discrete.residual(sys, xi),
+        residual=res,
         per_node_error=per_node,
     )

@@ -269,8 +269,10 @@ def _block_ratios(system, uv: np.ndarray, tables, clamped) -> list | None:
     dp = ph[:, 0] - ph[:, 1]
     if not (np.isfinite(df).all() and np.isfinite(dp).all()):
         return None
-    # discrete.norm's and discrete.inner's sums: ||d||^2, ||df||^2, ||dp||^2, <df, d>
-    sums = np.sum([w * d * d, w * df * df, w * dp * dp, w * (df * d)], axis=-1)
+    # discrete.norm's and discrete.inner's sums: ||d||^2, ||df||^2, ||dp||^2,
+    # <df, d>, as silent as theirs on overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.sum([w * d * d, w * df * df, w * dp * dp, w * (df * d)], axis=-1)
     if not np.isfinite(sums).all() or not sums[0].all():
         return None
     dn, fn, pn = np.sqrt(sums[:3]).tolist()

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,50 @@ def test_nonfinite_forcing_is_config_error_in_solve_and_bound(tmp_path, capsys):
     for cmd in (cmd_solve, cmd_bound):
         assert cmd(path) == EXIT_CONFIG
         assert capsys.readouterr().err == expected
+
+
+OVERFLOWING_RUNS = {
+    # the discrete Fredholm constant of one trapezoid cell is 2.75, above the
+    # declared L = 1.1: the continuation diverges to a finite, huge xi
+    "trapezoid_cell": (
+        "[problem]\nbuiltin = benchmark\n[quadrature]\nrule = trapezoid\ncells = 1\n",
+        "non-finite residual of the solution: inf",
+    ),
+    # Phi(xi) is 1e100 * xi: the second outer iterate is finite, its norm not
+    "outer_iterate": (
+        "[problem]\na = 0\nb = 1\nk1 = 1e100*x\nk2 = 0\ng = 1\nM = 0.1\nL = 0\n"
+        "[quadrature]\ncells = 4\n",
+        "non-finite outer iterate norm at step 2",
+    ),
+    # ||g|| overflows, in the audit's norms too
+    "forcing": (
+        "[problem]\na = 0\nb = 1\nk1 = 5*t*s*cos(x)\nk2 = (11/2)*t^2*s^2*x\n"
+        "g = 1e200*t\nM = 1.1785113019775793\nL = 1.1\n"
+        "[quadrature]\ncells = 10\n[solver]\naudit = true\n",
+        "need finite g_norm >= 0, got inf",
+    ),
+}
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
+@pytest.mark.parametrize("run", sorted(OVERFLOWING_RUNS))
+def test_overflowing_run_fails_on_one_line(tmp_path, capsys, run, action):
+    # a run whose values overflow ends with its command's code and one
+    # stderr line, with every warning shown ("always", as the default filter
+    # shows the first) or raised, and writes no CSV
+    text, why = OVERFLOWING_RUNS[run]
+    path = write_ini(tmp_path, text)
+    out = tmp_path / "out.csv"
+    commands = [(["solve", "--config", path, "--out", str(out)], EXIT_SOLVER, "solver failure")]
+    if run == "forcing":
+        commands.append((["bound", "--config", path], EXIT_CONFIG, "config error"))
+    for argv, code, label in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert main(argv) == code
+        assert caught == []
+        assert capsys.readouterr() == ("", f"{label}: {why}\n")
+        assert not out.exists()
 
 
 def test_audit_kernel_error_exits_3(tmp_path, capsys):

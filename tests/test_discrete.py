@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from vfsolve.discrete import (
-    build_system, fred, inner, k1_table, k2_table, norm, phi, residual, shifted_fred,
+    DiscreteSystem, build_system, fred, inner, k1_table, k2_table, norm, phi, residual,
+    shifted_fred,
 )
 from vfsolve.expr import EvalDomainError, parse_expression, split_terms
 from vfsolve.hybrid import prepare, solve
@@ -34,6 +36,50 @@ def test_g_vec_shares_no_memory_with_the_nodes():
     assert sys.g_vec.tobytes() == scheme.nodes.tobytes()
     sys.g_vec[0] = -1.0
     assert scheme.nodes[0] == 0.25
+
+
+def test_system_stores_only_its_inputs(bench):
+    # the Volterra mask is derived from the weights, once, when a map needs it
+    names = [f.name for f in dataclasses.fields(DiscreteSystem)]
+    assert names == ["scheme", "problem", "g_vec", "k1_terms", "k2_terms"]
+    mask = bench.volterra_mask
+    assert mask is bench.volterra_mask
+    assert mask.dtype == bool
+    assert mask.tobytes() == (bench.scheme.volterra_weights != 0.0).tobytes()
+
+
+def test_k1_without_a_form_reuses_its_clamped_s_table():
+    # k1's own s table is built at the first map and kept: when the kernel
+    # is called by a second phi, only the x table is new since phi began
+    base = benchmark_problem()
+    calls = []
+
+    def k1(t, s, x):
+        calls.append((tracemalloc.get_traced_memory()[0], s))
+        return base.k1(t, s, x)
+
+    prob = dataclasses.replace(base, k1=k1, k1_terms=None)
+    sys_ = build_system(prob, build_scheme(make_grid(0.0, 1.0, 400), "midpoint"))
+    xi = np.linspace(0.0, 1.0, sys_.dim)
+    float_table = sys_.dim**2 * 8
+    grown = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            start = tracemalloc.get_traced_memory()[0]
+            phi(sys_, xi)
+            grown.append(calls[-1][0] - start)
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 2
+    # the first map builds the mask, the s table and the x table
+    assert grown[0] >= 2 * float_table, grown
+    assert grown[1] < 1.5 * float_table, grown
+    s_first, s_second = calls[0][1], calls[1][1]
+    assert np.shares_memory(s_first, s_second)
+    nodes = sys_.scheme.nodes
+    want = np.where(sys_.volterra_mask, nodes[None, :], nodes[0])
+    assert s_second.tobytes() == want.tobytes()
 
 
 def test_phi_at_zero_matches_analytic_cubic(bench):

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vfsolve.discrete import build_system
+from vfsolve.discrete import build_system, phi
+from vfsolve.oracle import newton_solve
 from vfsolve.problem import benchmark_problem
 from vfsolve.quadrature import Grid, build_scheme, make_grid
 
@@ -202,15 +203,17 @@ _SMALL_BYTES = 96 * 1024
     ("trapezoid", "half_cell"), ("simpson", "half_cell"),
 ])
 def test_setup_holds_no_more_than_its_tables_and_one_bool_table(rule, rows):
-    # each step's peak, over what it leaves held, is at most one dim^2 bool
+    # each step's peak, over what it leaves held, is at most one dim^2 bool;
+    # the system holds no table beyond the scheme's: its Volterra mask and
+    # k1's clamped s table are built where a map needs them
     prob = benchmark_problem()
     grid = make_grid(prob.a, prob.b, 400)
     transient = []
     tracemalloc.start()
     try:
         scheme = build_scheme(grid, rule, midpoint_rows=rows)
-        held, peak = tracemalloc.get_traced_memory()
-        transient.append(peak - held)
+        scheme_held, peak = tracemalloc.get_traced_memory()
+        transient.append(peak - scheme_held)
         tracemalloc.reset_peak()
         system = build_system(prob, scheme)  # kept, so its tables count as held
         held, peak = tracemalloc.get_traced_memory()
@@ -218,3 +221,28 @@ def test_setup_holds_no_more_than_its_tables_and_one_bool_table(rule, rows):
     finally:
         tracemalloc.stop()
     assert max(transient) <= scheme.dim**2 + _SMALL_BYTES, transient
+    assert held - scheme_held <= _SMALL_BYTES, held - scheme_held
+
+
+@pytest.mark.parametrize("solve, c_tables", [("phi", 1), ("newton", 2)])
+def test_system_with_a_k1_form_holds_only_its_c_tables(solve, c_tables):
+    # a k1 form reads k1's clamped s table once, for its c_r table, and does
+    # not keep it: after phi the system holds k1's c_r table, after a Newton
+    # solve k2's too, and each time the dim^2 bool Volterra mask
+    prob = benchmark_problem()
+    scheme = build_scheme(make_grid(prob.a, prob.b, 400), "midpoint")
+    xi = np.linspace(0.0, 1.0, scheme.dim)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        system = build_system(prob, scheme)
+        if solve == "phi":
+            phi(system, xi)
+        else:
+            newton_solve(system)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert system.k1_split is not None and system.k2_split is not None
+    float_table = scheme.dim**2 * 8
+    assert held <= c_tables * float_table + scheme.dim**2 + _SMALL_BYTES, held
